@@ -13,9 +13,9 @@
 //
 // Both sides run identical simulations (stage_stats off, zero jitter, the
 // same arrival RNG) on the same engine kernel; only the workload layer
-// differs. Results append to a JSON report (default BENCH_pipeline.json,
-// override with --out <path>) which scripts/run_perf.sh merges into
-// BENCH_perf.json; docs/performance.md describes the format.
+// differs. With --out <path> the results also go to a JSON report, which
+// scripts/run_perf.sh merges into BENCH_perf.json; docs/performance.md
+// describes the format. Without it the bench only prints.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -419,14 +419,6 @@ constexpr double kOpenHorizonS = 4000.0;
 // without bound and the bench would mostly measure cold deque pages).
 constexpr double kTrimPeriodS = 4.0;
 
-void trim_monitors(workload::InferenceStream& stream, sim::SimTime now) {
-  stream.images_throughput().trim(now);
-  stream.batch_latency().trim(now);
-  stream.queue_delay().trim(now);
-  stream.preprocess_latency().trim(now);
-  stream.preprocess_compute_latency().trim(now);
-}
-
 workload::StreamParams bench_params(bool open_loop) {
   workload::StreamParams p;
   p.model.name = "pipeperf";
@@ -487,7 +479,7 @@ Measurement run_closed_loop() {
     workload::InferenceStream stream(engine, server, 0, p, Rng(1));
     stream.start();
     engine.schedule_periodic(kTrimPeriodS,
-                             [&] { trim_monitors(stream, engine.now()); });
+                             [&] { stream.trim_monitors(engine.now()); });
     engine.run_until(kHorizonS);
     done = stream.images_completed();
   }
@@ -532,7 +524,7 @@ Measurement run_open_loop() {
     workload::InferenceStream stream(engine, server, 0, p, Rng(1));
     stream.start();
     engine.schedule_periodic(kTrimPeriodS,
-                             [&] { trim_monitors(stream, engine.now()); });
+                             [&] { stream.trim_monitors(engine.now()); });
     workload::ArrivalProcess arrivals(engine, Rng(7), schedule);
     arrivals.on_arrivals = [&stream](const double* t, std::size_t n) {
       stream.submit_arrivals(t, n);
@@ -644,7 +636,7 @@ Row measure_pair(const std::string& name, LegacyRun&& legacy_run,
 
 int main(int argc, char** argv) {
   bench::init(argc, argv);
-  std::string out_path = "BENCH_pipeline.json";
+  std::string out_path;
   int reps = 9;
   try {
     const auto flags = extract_flags(argc, argv, {"out", "reps"});
@@ -700,6 +692,7 @@ int main(int argc, char** argv) {
       "(budget 5%%)\n",
       energy.baseline_s, energy.feature_s, energy.overhead_frac() * 100.0);
 
+  if (out_path.empty()) return 0;
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

@@ -2,8 +2,9 @@
 # Performance report: builds Release, runs the engine, pipeline,
 # control-solve and fleet self-perf microbenchmarks, then times one parallel sweep
 # (bench_fig6_setpoint_sweep) at --jobs 1 vs --jobs $(nproc) and verifies
-# the outputs are byte-identical. Everything lands in BENCH_perf.json; the
-# format is documented in docs/performance.md.
+# the outputs are byte-identical. Everything lands in BENCH_perf.json,
+# headed by the machine it ran on (nproc, compiler, build type, git rev);
+# the format is documented in docs/performance.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,17 +17,24 @@ cmake --build build-release -j"$JOBS" \
   bench_control_selfperf bench_fleet_selfperf \
   bench_fig6_setpoint_sweep >/dev/null
 
+# A bench whose own shape gate fails still writes its report; record it,
+# and fail the script once everything is merged.
+gate_failures=()
+run_bench() { # $1 = bench, rest = its arguments
+  "./build-release/bench/$@" || gate_failures+=("$1")
+}
+
 echo "==== engine self-perf (Release)"
-./build-release/bench/bench_engine_selfperf --out "$OUT.selfperf"
+run_bench bench_engine_selfperf --out "$OUT.selfperf"
 
 echo "==== pipeline self-perf (Release)"
-./build-release/bench/bench_pipeline_selfperf --out "$OUT.pipeline"
+run_bench bench_pipeline_selfperf --out "$OUT.pipeline"
 
 echo "==== control self-perf (Release)"
-./build-release/bench/bench_control_selfperf --reps 15 --out "$OUT.control"
+run_bench bench_control_selfperf --reps 15 --out "$OUT.control"
 
 echo "==== fleet self-perf (Release)"
-./build-release/bench/bench_fleet_selfperf --reps 3 --out "$OUT.fleet"
+run_bench bench_fleet_selfperf --reps 3 --out "$OUT.fleet"
 
 echo "==== fig6 sweep: --jobs 1 vs --jobs $JOBS"
 run_sweep() { # $1 = jobs, $2 = output file; prints elapsed seconds
@@ -47,11 +55,21 @@ fi
 echo "  byte-identical output: PASS"
 echo "  sequential ${seq_s}s, parallel (${JOBS} jobs) ${par_s}s"
 
+# The machine the numbers belong to.
+compiler="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' build-release/CMakeCache.txt)"
+compiler="$("$compiler" --version | head -n1)"
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' build-release/CMakeCache.txt)"
+git_rev="$(git describe --always --dirty 2>/dev/null || echo unknown)"
+
 jq --argjson seq "$seq_s" --argjson par "$par_s" --argjson jobs "$JOBS" \
+  --arg compiler "$compiler" --arg build_type "$build_type" \
+  --arg git_rev "$git_rev" \
   --slurpfile pipeline "$OUT.pipeline" \
   --slurpfile control "$OUT.control" \
   --slurpfile fleet "$OUT.fleet" \
-  '. + $pipeline[0] + $control[0] + $fleet[0]
+  '{machine: {nproc: $jobs, compiler: $compiler, build_type: $build_type,
+              git_rev: $git_rev}}
+     + . + $pipeline[0] + $control[0] + $fleet[0]
      + {parallel_sweep: {bench: "bench_fig6_setpoint_sweep",
                          scenarios: 35,
                          jobs: $jobs,
@@ -62,3 +80,7 @@ jq --argjson seq "$seq_s" --argjson par "$par_s" --argjson jobs "$JOBS" \
   "$OUT.selfperf" > "$OUT"
 rm -f "$OUT.selfperf" "$OUT.pipeline" "$OUT.control" "$OUT.fleet"
 echo "  [perf] $OUT"
+if ((${#gate_failures[@]})); then
+  echo "FAIL: shape gates failed in: ${gate_failures[*]} (numbers recorded)" >&2
+  exit 1
+fi

@@ -66,6 +66,11 @@ ServerRig::ServerRig(RigConfig config)
   cpu_task_ = std::make_unique<workload::CpuTaskSim>(engine_, server_.cpu(),
                                                      task_params, rng.split());
   cpu_task_->start();
+  // normalized_throughputs() and gpu_demand() may first read between two
+  // trims (a rack rebalance right after a period); declare their window up
+  // front so trim_monitors() keeps it from the start.
+  const double window = config_.throughput_window.value;
+  cpu_task_->throughput().watch(window);
 
   streams_.reserve(config_.models.size());
   for (std::size_t i = 0; i < config_.models.size(); ++i) {
@@ -82,6 +87,7 @@ ServerRig::ServerRig(RigConfig config)
       const Megahertz pinned = server_.cpu().freqs().max();
       stream->preprocess_frequency = [pinned] { return pinned; };
     }
+    stream->images_throughput().watch(window);
     stream->start();
 
     if (sp.open_loop) {
@@ -104,6 +110,12 @@ ServerRig::ServerRig(RigConfig config)
 }
 
 ServerRig::~ServerRig() { telemetry::detach_time_source(this); }
+
+void ServerRig::trim_monitors(sim::SimTime now) {
+  for (auto& s : streams_) s->trim_monitors(now);
+  cpu_task_->throughput().trim(now);
+  cpu_task_->subset_latency().trim(now);
+}
 
 hal::IServerHal& ServerRig::control_hal() {
   return faulty_ ? static_cast<hal::IServerHal&>(*faulty_) : *hal_;
@@ -374,15 +386,10 @@ RunResult ServerRig::run(baselines::IServerPowerController& policy,
                           {"slow_burn", monitor.slow_burn()}});
         }
       }
-      lat.trim(now);
-      s.images_throughput().trim(now);
-      s.queue_delay().trim(now);
-      s.preprocess_latency().trim(now);
     }
     result.cpu_throughput.add(now, cpu_task_->throughput().rate(now, period_s));
     result.cpu_latency.add(now, cpu_task_->subset_latency().mean(now, period_s));
-    cpu_task_->throughput().trim(now);
-    cpu_task_->subset_latency().trim(now);
+    trim_monitors(now);
 
     if (ledger) {
       // Integrate the pristine meter over the period. A sensor gap (only

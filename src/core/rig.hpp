@@ -163,6 +163,12 @@ class ServerRig {
   /// rack::ServerEndpoint::demand.
   [[nodiscard]] double gpu_demand() const;
 
+  /// Trims every stream's and the CPU task's monitors to the windows their
+  /// readers use (InferenceStream::trim_monitors). run() calls this every
+  /// period; drivers stepping the rig's loop themselves call it from
+  /// ControlLoop::on_period.
+  void trim_monitors(sim::SimTime now);
+
   /// Controller-side latency models, one per GPU device id, taken from the
   /// model specs (equivalently obtainable by fitting; see bench fig2b).
   [[nodiscard]] std::map<std::size_t, control::LatencyModel> latency_models() const;

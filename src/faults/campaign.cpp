@@ -229,10 +229,7 @@ CampaignResult run_campaign(const CampaignConfig& config,
       mon->record(now, cnt, misses);
       rr->images += s.images_throughput().rate(now, period_s) * period_s;
       (void)s.take_stage_period_means();
-      lat.trim(now);
-      s.images_throughput().trim(now);
-      s.queue_delay().trim(now);
-      s.preprocess_latency().trim(now);
+      rig_ptr->trim_monitors(now);
     };
     r.loop->start();
 

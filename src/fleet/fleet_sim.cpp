@@ -134,10 +134,7 @@ void build_rig(const FleetConfig& cfg, const faults::DomainTree& tree,
       batches.clear();
       fr->ledger->end_period();
     }
-    lat.trim(now);
-    s.images_throughput().trim(now);
-    s.queue_delay().trim(now);
-    s.preprocess_latency().trim(now);
+    rig_ptr->trim_monitors(now);
   };
   out.loop->start();
 }

@@ -1,27 +1,109 @@
 #include "telemetry/sketch.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
 
 namespace capgpu::telemetry {
+namespace {
+
+double gamma_of(double relative_error) {
+  return (1.0 + relative_error) / (1.0 - relative_error);
+}
+
+// Bucket i covers (gamma^(i-1), gamma^i]: ceil of the log-gamma index.
+int log_key(double x, double inv_log_gamma) {
+  return static_cast<int>(std::ceil(std::log(x) * inv_log_gamma - 1e-9));
+}
+
+constexpr double kTableRelativeError = QuantileSketchSpec{}.relative_error;
+constexpr unsigned kMantissaBits = 52 - QuantileSketch::kQuantBits;
+constexpr std::uint32_t kBinades =
+    QuantileSketch::kKeyTableMaxExp - QuantileSketch::kKeyTableMinExp + 1;
+
+/// Biased exponent of the table's first binade.
+constexpr std::uint64_t kFirstBiasedExp = 1023 + QuantileSketch::kKeyTableMinExp;
+
+/// Table row of a double's binade; the unsigned wrap sends zero,
+/// negatives, NaN and every binade outside the table to >= kBinades.
+std::uint64_t binade_row(std::uint64_t bits) {
+  return (bits >> 52) - kFirstBiasedExp;
+}
+
+/// Bucket keys of every quantized value in the covered binades for the
+/// default relative error: key = base[row] + offset[row][mantissa]. A
+/// binade spans log(2)/log(gamma) ~ 35 keys, so offsets fit a byte and the
+/// table is 512 KiB. Built on first use (a function-local static: once per
+/// process, thread-safe) and read-only afterwards.
+struct KeyTable {
+  std::array<int, kBinades> base{};
+  std::vector<std::uint8_t> offset;
+
+  /// Whether the double with these bits is a quantized value in the table.
+  static bool covers(std::uint64_t bits) {
+    constexpr std::uint64_t kDropped =
+        (std::uint64_t{1} << QuantileSketch::kQuantBits) - 1;
+    return binade_row(bits) < kBinades && (bits & kDropped) == 0;
+  }
+  /// Key of a covered value.
+  [[nodiscard]] int key(std::uint64_t bits) const {
+    const std::uint64_t row = binade_row(bits);
+    const std::uint64_t m = (bits >> QuantileSketch::kQuantBits) &
+                            ((std::uint64_t{1} << kMantissaBits) - 1);
+    return base[row] + offset[(row << kMantissaBits) | m];
+  }
+
+  KeyTable() : offset(std::size_t{kBinades} << kMantissaBits) {
+    const double inv_log_gamma =
+        1.0 / std::log(gamma_of(kTableRelativeError));
+    for (std::uint32_t row = 0; row < kBinades; ++row) {
+      const std::uint64_t exponent_bits = (row + kFirstBiasedExp) << 52;
+      for (std::uint64_t m = 0; m < (std::uint64_t{1} << kMantissaBits);
+           ++m) {
+        const double x = std::bit_cast<double>(
+            exponent_bits | (m << QuantileSketch::kQuantBits));
+        const int key = log_key(x, inv_log_gamma);
+        if (m == 0) base[row] = key;
+        const int off = key - base[row];
+        CAPGPU_ASSERT(off >= 0 && off <= 255);
+        offset[(std::size_t{row} << kMantissaBits) | m] =
+            static_cast<std::uint8_t>(off);
+      }
+    }
+  }
+};
+
+const KeyTable& key_table() {
+  static const KeyTable table;
+  return table;
+}
+
+}  // namespace
 
 QuantileSketch::QuantileSketch(QuantileSketchSpec spec) : spec_(spec) {
   CAPGPU_REQUIRE(spec.relative_error > 0.0 && spec.relative_error < 1.0,
                  "sketch relative error must be in (0, 1)");
   CAPGPU_REQUIRE(spec.min_trackable > 0.0,
                  "sketch min_trackable must be positive");
-  gamma_ = (1.0 + spec.relative_error) / (1.0 - spec.relative_error);
+  gamma_ = gamma_of(spec.relative_error);
   inv_log_gamma_ = 1.0 / std::log(gamma_);
-  for (std::size_t i = 0; i < kMemoSlots; ++i) {
-    memo_bits_[i] = ~std::uint64_t{0};
-  }
+  key_table_ = spec.relative_error == kTableRelativeError;
+}
+
+bool QuantileSketch::key_from_table(double x) const noexcept {
+  return key_table_ && KeyTable::covers(std::bit_cast<std::uint64_t>(x));
 }
 
 int QuantileSketch::bucket_key(double x) const noexcept {
-  // Bucket i covers (gamma^(i-1), gamma^i]: ceil of the log-gamma index.
-  return static_cast<int>(std::ceil(std::log(x) * inv_log_gamma_ - 1e-9));
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  if (key_table_ && KeyTable::covers(bits)) return key_table().key(bits);
+  return bucket_key_by_log(x);
+}
+
+int QuantileSketch::bucket_key_by_log(double x) const noexcept {
+  return log_key(x, inv_log_gamma_);
 }
 
 double QuantileSketch::bucket_value(int key) const noexcept {
@@ -43,20 +125,6 @@ void QuantileSketch::grow_to(int key) noexcept {
   } else if (key >= offset_ + static_cast<int>(buckets_.size())) {
     buckets_.resize(static_cast<std::size_t>(key - offset_) + 1, 0);
   }
-}
-
-// Kept out of line (cold): inlining the grow/log path into observe_span's
-// loop would spill the hot locals around every call.
-__attribute__((noinline)) void QuantileSketch::insert_slow(
-    std::uint64_t qbits, std::uint64_t n, std::size_t slot) noexcept {
-  // Keyed on the quantized value so every double sharing `qbits` lands in
-  // one bucket: the 2^-14 quantization error is far inside any sensible
-  // relative_error and keeps the sketch deterministic.
-  const int key = bucket_key(std::bit_cast<double>(qbits));
-  grow_to(key);
-  buckets_[static_cast<std::size_t>(key - offset_)] += n;
-  memo_bits_[slot] = qbits;
-  memo_key_[slot] = key;
 }
 
 double QuantileSketch::observe_span_record(const double* v, std::size_t n,
@@ -81,6 +149,9 @@ double QuantileSketch::observe_span_record(const double* v, std::size_t n,
     sum += std::bit_cast<double>(q);
   }
   rec.quant_sum = sum;
+  // Resolved once per span, so the per-element lookup skips the guard of
+  // the table's function-local static.
+  const KeyTable* table = key_table_ ? &key_table() : nullptr;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t q = rec.quant[i];
     const double qx = std::bit_cast<double>(q);
@@ -88,19 +159,9 @@ double QuantileSketch::observe_span_record(const double* v, std::size_t n,
       ++rec.zeros;
       continue;
     }
-    const std::size_t slot =
-        static_cast<std::size_t>(q >> kQuantBits) & (kMemoSlots - 1);
-    int key;
-    if (memo_bits_[slot] == q) {
-      key = memo_key_[slot];
-    } else {
-      // Grow eagerly: once a key sits in the value memo, observe_many's
-      // fast path indexes buckets_ without a bounds check.
-      key = bucket_key(qx);
-      grow_to(key);
-      memo_bits_[slot] = q;
-      memo_key_[slot] = key;
-    }
+    const int key = table != nullptr && KeyTable::covers(q)
+                        ? table->key(q)
+                        : bucket_key_by_log(qx);
     // min/max from the quantized value: under-reads the exact one by at
     // most 2^-14 relative, far inside the sketch's error bound.
     if (qx < rec.qmin) rec.qmin = qx;

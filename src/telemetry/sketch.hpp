@@ -70,12 +70,6 @@ class QuantileSketch {
   /// Bulk observation: `n` samples of the same value, one bucket update.
   /// The pipeline uses this for per-batch stages where every image in the
   /// batch shares one latency (GPU execution).
-  ///
-  /// Inline fast path: deterministic simulations observe short cycles of
-  /// repeated durations, so a small direct-mapped (value -> bucket key)
-  /// memo skips the log() in bucket_key on almost every call — the
-  /// selfperf timeline-overhead guard holds this path under 5% of the
-  /// pipeline's event rate.
   void observe_many(double x, std::uint64_t n) noexcept {
     if (n == 0 || std::isnan(x)) return;
     if (!(x > 0.0)) x = 0.0;
@@ -88,19 +82,12 @@ class QuantileSketch {
       return;
     }
     // Quantize to 14 mantissa bits (2^-14 ~ 6e-5 relative, well inside any
-    // sensible alpha) before the lookup: durations come from subtracting
-    // large absolute sim times, so "the same" duration jiggles at the ULP
-    // level and would never match an exact-value memo.
-    const std::uint64_t q = std::bit_cast<std::uint64_t>(x) & kQuantMask;
-    const std::size_t slot =
-        static_cast<std::size_t>(q >> kQuantBits) & (kMemoSlots - 1);
-    if (memo_bits_[slot] == q) {
-      // A memoized key was inserted before; growth only ever extends the
-      // dense bucket range, so key - offset_ stays in bounds.
-      buckets_[static_cast<std::size_t>(memo_key_[slot] - offset_)] += n;
-      return;
-    }
-    insert_slow(q, n, slot);
+    // sensible alpha): every double sharing the quantized bits lands in one
+    // bucket, which keeps the key a table lookup.
+    const int key = bucket_key(
+        std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) & kQuantMask));
+    grow_to(key);
+    buckets_[static_cast<std::size_t>(key - offset_)] += n;
   }
 
   /// Bulk observation of `n` contiguous values. Values must be finite;
@@ -147,28 +134,36 @@ class QuantileSketch {
   /// Adds another sketch's observations; both must share one spec.
   void merge_from(const QuantileSketch& other);
 
- private:
-  static constexpr std::size_t kMemoSlots = 16;
-  /// Mantissa bits dropped by the memo quantization (keeps the top 14).
+  /// Mantissa bits dropped by the quantization (keeps the top 14).
   static constexpr unsigned kQuantBits = 38;
+  /// Binades (binary exponents) the bucket-key table covers: 2^-20 holds
+  /// the default min_trackable, 2^11 s is past any simulated latency.
+  static constexpr int kKeyTableMinExp = -20;
+  static constexpr int kKeyTableMaxExp = 11;
+
+  /// Bucket of a tracked value x (x >= min_trackable):
+  /// ceil(log(x) / log(gamma) - 1e-9). For the default relative error and
+  /// a quantized x in the covered binades this is one lookup in an exact
+  /// per-binade table, filled once per process from the same formula;
+  /// anything else evaluates the formula.
+  [[nodiscard]] int bucket_key(double x) const noexcept;
+  /// The formula bucket_key must reproduce (always evaluates log()).
+  [[nodiscard]] int bucket_key_by_log(double x) const noexcept;
+  /// Whether bucket_key(x) reads the table.
+  [[nodiscard]] bool key_from_table(double x) const noexcept;
+
+ private:
   static constexpr std::uint64_t kQuantMask =
       ~((std::uint64_t{1} << kQuantBits) - 1);
 
-  [[nodiscard]] int bucket_key(double x) const noexcept;
   [[nodiscard]] double bucket_value(int key) const noexcept;
   void grow_to(int key) noexcept;
-  /// Memo miss: computes the key for the quantized value, inserts, and
-  /// refreshes `slot`.
-  void insert_slow(std::uint64_t qbits, std::uint64_t n,
-                   std::size_t slot) noexcept;
 
   QuantileSketchSpec spec_;
   double gamma_{0.0};
   double inv_log_gamma_{0.0};
-  /// Memoized (quantized value bits, bucket key) pairs; the sentinel has
-  /// low bits set, which a masked value never does.
-  std::uint64_t memo_bits_[kMemoSlots];
-  int memo_key_[kMemoSlots]{};
+  /// The spec's relative error is the one the key table was built for.
+  bool key_table_{false};
   /// Dense bucket counts; buckets_[i] holds key = offset_ + i.
   std::vector<std::uint64_t> buckets_;
   int offset_{0};

@@ -15,13 +15,33 @@ void SampleRing::grow() {
   mask_ = cap - 1;
 }
 
+void SampleRing::trim(sim::SimTime now, double horizon) {
+  const double cutoff = now - horizon;
+  // Samples arrive in time order, so the ones to drop are a prefix: find
+  // its end by bisection (an unread monitor drops a whole period of
+  // samples every trim).
+  std::size_t lo = 0;
+  std::size_t hi = size_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if ((*this)[mid].time <= cutoff) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  head_ = (head_ + lo) & mask_;
+  size_ -= lo;
+  if (cutoff > trimmed_to_) trimmed_to_ = cutoff;
+}
+
 ThroughputMonitor::ThroughputMonitor(double max_rate) : max_rate_(max_rate) {
   CAPGPU_REQUIRE(max_rate > 0.0, "max_rate must be positive");
 }
 
 double ThroughputMonitor::rate(sim::SimTime now, double window) const {
   CAPGPU_REQUIRE(window > 0.0, "window must be positive");
-  const double cutoff = now - window;
+  const double cutoff = events_.admit_read(now, window);
   double sum = 0.0;
   for (std::size_t i = events_.size(); i-- > 0;) {
     const SampleRing::Entry& e = events_[i];
@@ -36,15 +56,8 @@ double ThroughputMonitor::normalized_rate(sim::SimTime now,
   return std::clamp(rate(now, window) / max_rate_, 0.0, 1.0);
 }
 
-void ThroughputMonitor::trim(sim::SimTime now, double horizon) {
-  const double cutoff = now - horizon;
-  while (!events_.empty() && events_[0].time <= cutoff) {
-    events_.pop_front();
-  }
-}
-
 double LatencyMonitor::mean(sim::SimTime now, double window) const {
-  const double cutoff = now - window;
+  const double cutoff = samples_.admit_read(now, window);
   double sum = 0.0;
   std::size_t n = 0;
   for (std::size_t i = samples_.size(); i-- > 0;) {
@@ -57,7 +70,7 @@ double LatencyMonitor::mean(sim::SimTime now, double window) const {
 }
 
 double LatencyMonitor::max(sim::SimTime now, double window) const {
-  const double cutoff = now - window;
+  const double cutoff = samples_.admit_read(now, window);
   double m = 0.0;
   for (std::size_t i = samples_.size(); i-- > 0;) {
     const SampleRing::Entry& s = samples_[i];
@@ -68,7 +81,7 @@ double LatencyMonitor::max(sim::SimTime now, double window) const {
 }
 
 std::size_t LatencyMonitor::count(sim::SimTime now, double window) const {
-  const double cutoff = now - window;
+  const double cutoff = samples_.admit_read(now, window);
   std::size_t n = 0;
   for (std::size_t i = samples_.size(); i-- > 0;) {
     if (samples_[i].time <= cutoff) break;
@@ -79,7 +92,7 @@ std::size_t LatencyMonitor::count(sim::SimTime now, double window) const {
 
 double LatencyMonitor::miss_rate(sim::SimTime now, double window,
                                  double threshold) const {
-  const double cutoff = now - window;
+  const double cutoff = samples_.admit_read(now, window);
   std::size_t n = 0;
   std::size_t misses = 0;
   for (std::size_t i = samples_.size(); i-- > 0;) {
@@ -93,19 +106,12 @@ double LatencyMonitor::miss_rate(sim::SimTime now, double window,
 
 void LatencyMonitor::visit(sim::SimTime now, double window,
                            const std::function<void(double)>& fn) const {
-  const double cutoff = now - window;
+  const double cutoff = samples_.admit_read(now, window);
   // Find the oldest in-window sample, then iterate forward.
   std::size_t first = samples_.size();
   while (first > 0 && samples_[first - 1].time > cutoff) --first;
   for (std::size_t i = first; i < samples_.size(); ++i) {
     fn(samples_[i].value);
-  }
-}
-
-void LatencyMonitor::trim(sim::SimTime now, double horizon) {
-  const double cutoff = now - horizon;
-  while (!samples_.empty() && samples_[0].time <= cutoff) {
-    samples_.pop_front();
   }
 }
 

@@ -3,26 +3,39 @@
 // Each device's monitor reports the average throughput over the last control
 // period; the controller normalizes it by the device's maximum throughput to
 // drive weight assignment.
+//
+// Retention contract: a monitor remembers the longest window any reader has
+// asked of it (a windowed read, or watch()). trim(now) keeps exactly that
+// much history — nothing at all for a monitor nobody reads — so a trimmed
+// monitor answers every such read bit-identically to an untrimmed one, and
+// its storage is bounded by one read window of samples instead of growing
+// with simulated time. A read reaching back past the last trim throws
+// InvalidArgument instead of silently missing the dropped samples.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
 #include "sim/engine.hpp"
-#include "telemetry/stats.hpp"
 
 namespace capgpu::workload {
 
-/// Flat ring of (time, value) samples backing the monitors.
+/// Flat ring of (time, value) samples backing the monitors, plus the
+/// retention bookkeeping of the contract above. Samples are pushed in time
+/// order (monitors record at the engine's current time).
 ///
-/// Replaces the std::deque sample stores on the request hot path: trim()
-/// advances the head without releasing storage, so steady-state record()s
-/// land in warm, already-mapped memory and the rolling window cycles
-/// through one power-of-two allocation. Scans visit the same elements in
-/// the same order as the deque did, so every windowed statistic is
-/// bit-identical to the old storage.
+/// trim() advances the head without releasing storage, so steady-state
+/// record()s land in warm, already-mapped memory and the rolling window
+/// cycles through one power-of-two allocation. Scans visit the same
+/// elements in the same order as an untrimmed sample list, so every
+/// windowed statistic is bit-identical to unbounded storage.
+///
+/// Reads are const but widen the remembered window, so concurrent reads of
+/// one monitor from several threads need external synchronization (the
+/// simulator reads each rig's monitors from one thread at a time).
 class SampleRing {
  public:
   struct Entry {
@@ -31,7 +44,6 @@ class SampleRing {
   };
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
 
   /// i-th live entry, oldest first (i < size()).
   [[nodiscard]] const Entry& operator[](std::size_t i) const {
@@ -44,10 +56,27 @@ class SampleRing {
     ++size_;
   }
 
-  void pop_front() {
-    head_ = (head_ + 1) & mask_;
-    --size_;
+  /// Registers a read of (now - window, now] and returns its cutoff
+  /// (now - window). Throws InvalidArgument when the window reaches into
+  /// history an earlier trim dropped.
+  double admit_read(sim::SimTime now, double window) const {
+    watch(window);
+    const double cutoff = now - window;
+    CAPGPU_REQUIRE(cutoff >= trimmed_to_,
+                   "monitor read reaches into trimmed history");
+    return cutoff;
   }
+
+  /// Widens the remembered window without reading.
+  void watch(double window) const {
+    if (window > window_) window_ = window;
+  }
+  /// Longest window read or watched so far (0 before the first).
+  [[nodiscard]] double read_window() const { return window_; }
+
+  /// Drops samples at or before now - horizon; reads reaching past that
+  /// point throw from now on.
+  void trim(sim::SimTime now, double horizon);
 
  private:
   void grow();
@@ -56,6 +85,8 @@ class SampleRing {
   std::size_t head_{0};
   std::size_t size_{0};
   std::size_t mask_{0};  // buf_.size() - 1 (capacity is a power of two)
+  mutable double window_{0.0};
+  double trimmed_to_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Counts completion events and reports a windowed rate.
@@ -81,9 +112,17 @@ class ThroughputMonitor {
   [[nodiscard]] double max_rate() const { return max_rate_; }
   [[nodiscard]] double total() const { return total_; }
 
-  /// Drops events older than `horizon` seconds before `now` (bounds memory;
-  /// the backing ring keeps its capacity for reuse).
-  void trim(sim::SimTime now, double horizon = 600.0);
+  /// Declares a reader's window ahead of its first read, so trims before
+  /// that read keep its history.
+  void watch(double window) { events_.watch(window); }
+
+  /// Keeps the longest window read so far (none when never read).
+  void trim(sim::SimTime now) { events_.trim(now, events_.read_window()); }
+  /// Keeps `horizon` seconds before `now`.
+  void trim(sim::SimTime now, double horizon) { events_.trim(now, horizon); }
+
+  /// Events currently held (retention diagnostic).
+  [[nodiscard]] std::size_t retained() const { return events_.size(); }
 
  private:
   double max_rate_;
@@ -91,12 +130,11 @@ class ThroughputMonitor {
   SampleRing events_;
 };
 
-/// Collects latency samples within a rolling window plus lifetime stats.
+/// Collects latency samples within a rolling window.
 class LatencyMonitor {
  public:
   void record(sim::SimTime now, double latency_s) {
     samples_.push_back(now, latency_s);
-    lifetime_.add(latency_s);
   }
 
   /// Mean latency of samples in (now - window, now]; 0 when none.
@@ -109,18 +147,21 @@ class LatencyMonitor {
   [[nodiscard]] double miss_rate(sim::SimTime now, double window,
                                  double threshold) const;
 
-  [[nodiscard]] const telemetry::RunningStats& lifetime() const { return lifetime_; }
-
   /// Invokes `fn(latency)` for every sample in (now - window, now], oldest
   /// first (percentile extraction, custom aggregation).
   void visit(sim::SimTime now, double window,
              const std::function<void(double)>& fn) const;
 
-  void trim(sim::SimTime now, double horizon = 600.0);
+  /// Keeps the longest window read so far (none when never read).
+  void trim(sim::SimTime now) { samples_.trim(now, samples_.read_window()); }
+  /// Keeps `horizon` seconds before `now`.
+  void trim(sim::SimTime now, double horizon) { samples_.trim(now, horizon); }
+
+  /// Samples currently held (retention diagnostic).
+  [[nodiscard]] std::size_t retained() const { return samples_.size(); }
 
  private:
   SampleRing samples_;
-  telemetry::RunningStats lifetime_;
 };
 
 }  // namespace capgpu::workload

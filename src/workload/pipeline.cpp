@@ -99,6 +99,14 @@ double InferenceStream::max_images_per_s() const {
          params_.model.e_min_batch_s;
 }
 
+void InferenceStream::trim_monitors(sim::SimTime now) {
+  images_.trim(now);
+  batch_latency_.trim(now);
+  queue_delay_.trim(now);
+  preprocess_latency_.trim(now);
+  preprocess_compute_.trim(now);
+}
+
 double InferenceStream::preprocess_duration() {
   const Megahertz f = preprocess_frequency ? preprocess_frequency()
                                            : server_->cpu().frequency();

@@ -131,6 +131,9 @@ class InferenceStream {
   /// "preprocessing latency" metric Table 1 reports.
   [[nodiscard]] LatencyMonitor& preprocess_compute_latency() { return preprocess_compute_; }
   [[nodiscard]] const LatencyMonitor& preprocess_compute_latency() const { return preprocess_compute_; }
+  /// Trims all five monitors to the windows their readers have asked for
+  /// (see monitors.hpp). Drivers call this once per control period.
+  void trim_monitors(sim::SimTime now);
 
   [[nodiscard]] std::uint64_t images_completed() const { return images_completed_; }
   [[nodiscard]] std::uint64_t batches_completed() const { return batches_completed_; }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -231,6 +232,67 @@ TEST(QuantileSketch, QuantizedBitsStableAcrossUlpJiggle) {
             QuantileSketch::quantized_bits(0.0));
   EXPECT_NE(QuantileSketch::quantized_bits(0.125),
             QuantileSketch::quantized_bits(0.25));
+}
+
+/// The quantized value with 14-bit mantissa `m` in binade 2^e.
+double quantized_value(int e, std::uint64_t m) {
+  const auto biased = static_cast<std::uint64_t>(e + 1023);
+  return std::bit_cast<double>((biased << 52) |
+                               (m << QuantileSketch::kQuantBits));
+}
+
+constexpr std::uint64_t kMantissas = std::uint64_t{1}
+                                     << (52 - QuantileSketch::kQuantBits);
+
+TEST(QuantileSketchKeys, TableMatchesLogFormulaForEveryQuantizedValue) {
+  const QuantileSketch s;
+  std::size_t off_table = 0;
+  std::size_t mismatches = 0;
+  for (int e = QuantileSketch::kKeyTableMinExp;
+       e <= QuantileSketch::kKeyTableMaxExp; ++e) {
+    for (std::uint64_t m = 0; m < kMantissas; ++m) {
+      const double x = quantized_value(e, m);
+      if (!s.key_from_table(x)) ++off_table;
+      if (s.bucket_key(x) != s.bucket_key_by_log(x)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(off_table, 0u);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(QuantileSketchKeys, FallbackOutsideTheTableMatchesLogFormula) {
+  const QuantileSketch s;
+  std::size_t on_table = 0;
+  std::size_t mismatches = 0;
+  // The binades just outside the table.
+  for (const int e : {QuantileSketch::kKeyTableMinExp - 1,
+                      QuantileSketch::kKeyTableMaxExp + 1}) {
+    for (std::uint64_t m = 0; m < kMantissas; ++m) {
+      const double x = quantized_value(e, m);
+      if (s.key_from_table(x)) ++on_table;
+      if (s.bucket_key(x) != s.bucket_key_by_log(x)) ++mismatches;
+    }
+  }
+  // Unquantized values inside the covered binades.
+  for (const double x : {1e-3, 0.1, 0.3, 1.7, 100.1}) {
+    if (s.key_from_table(x)) ++on_table;
+    if (s.bucket_key(x) != s.bucket_key_by_log(x)) ++mismatches;
+  }
+  // A non-default spec never reads the table, and its keys differ.
+  const QuantileSketch coarse(QuantileSketchSpec{0.05, 1e-6});
+  std::size_t differs = 0;
+  for (int e = QuantileSketch::kKeyTableMinExp;
+       e <= QuantileSketch::kKeyTableMaxExp; ++e) {
+    for (std::uint64_t m = 0; m < kMantissas; m += 97) {
+      const double x = quantized_value(e, m);
+      if (coarse.key_from_table(x)) ++on_table;
+      if (coarse.bucket_key(x) != coarse.bucket_key_by_log(x)) ++mismatches;
+      if (coarse.bucket_key(x) != s.bucket_key(x)) ++differs;
+    }
+  }
+  EXPECT_EQ(on_table, 0u);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(differs, 0u);
 }
 
 }  // namespace

@@ -4,10 +4,11 @@
 //
 // The old engine is embedded below (LegacyEngine) so the comparison stays
 // honest after the rewrite: both kernels compile with the same flags into
-// the same binary and run the same workloads. Results print as a table and
-// are appended to a JSON report (default BENCH_perf.json, override with
-// --out <path>) which scripts/run_perf.sh merges with the parallel-sweep
-// timings; docs/performance.md describes the format.
+// the same binary and run the same workloads. Results print as a table;
+// with --out <path> they also go to a JSON report, which
+// scripts/run_perf.sh merges with the parallel-sweep timings
+// (docs/performance.md describes the format). Without it the bench only
+// prints.
 #include <chrono>
 #include <cstdlib>
 #include <cstdio>
@@ -24,6 +25,7 @@
 #include "common/options.hpp"
 #include "common/rng.hpp"
 #include "hw/server_model.hpp"
+#include "overhead.hpp"
 #include "sim/engine.hpp"
 #include "telemetry/table.hpp"
 #include "workload/pipeline.hpp"
@@ -276,7 +278,12 @@ Row measure_pair(const std::string& name, Workload&& workload, int reps) {
 // disabled — the default for every simulation that does not ask for
 // --trace-out/--events-out — it must stay within 5% of the pre-attribution
 // fast path (StreamParams::stage_stats = false).
-Measurement run_pipeline_once(bool stage_stats) {
+struct GuardRun {
+  double cpu_s;          ///< thread CPU seconds of the simulated run
+  std::uint64_t events;  ///< the same with attribution on or off
+};
+
+GuardRun run_pipeline_once(bool stage_stats) {
   sim::Engine engine;
   hw::ServerModel server = hw::ServerModel::v100_testbed(1);
   server.cpu().set_frequency(2.4_GHz);
@@ -294,49 +301,16 @@ Measurement run_pipeline_once(bool stage_stats) {
   p.stage_stats = stage_stats;
   workload::InferenceStream stream(engine, server, 0, p, Rng(1));
   stream.start();
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = bench::thread_cpu_s();
   engine.run_until(64000.0);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
-  return Measurement{
-      secs > 0.0 ? static_cast<double>(engine.events_executed()) / secs : 0.0,
-      engine.events_executed()};
-}
-
-struct OverheadResult {
-  Measurement baseline;  // stage_stats off
-  Measurement timeline;  // stage_stats on
-  [[nodiscard]] double overhead_frac() const {
-    return baseline.events_per_s > 0.0
-               ? 1.0 - timeline.events_per_s / baseline.events_per_s
-               : 0.0;
-  }
-};
-
-OverheadResult measure_timeline_overhead(int reps) {
-  // Same protocol as measure_pair above: off/on reps alternate so both
-  // configurations sample the same machine conditions, and best-of keeps
-  // the least-perturbed rep of each — external noise only ever slows a
-  // run down, so the maxima converge on the undisturbed speeds.
-  OverheadResult best;
-  for (int i = 0; i < reps; ++i) {
-    const Measurement off = run_pipeline_once(false);
-    if (off.events_per_s > best.baseline.events_per_s) best.baseline = off;
-    const Measurement on = run_pipeline_once(true);
-    if (on.events_per_s > best.timeline.events_per_s) best.timeline = on;
-    if (std::getenv("CAPGPU_SELFPERF_DEBUG")) {
-      std::fprintf(stderr, "  rep %d: off %.2fM on %.2fM\n", i,
-                   off.events_per_s / 1e6, on.events_per_s / 1e6);
-    }
-  }
-  return best;
+  return {bench::thread_cpu_s() - t0, engine.events_executed()};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::init(argc, argv);
-  std::string out_path = "BENCH_perf.json";
+  std::string out_path;
   try {
     const auto flags = extract_flags(argc, argv, {"out"});
     if (auto it = flags.find("out"); it != flags.end()) out_path = it->second;
@@ -372,20 +346,31 @@ int main(int argc, char** argv) {
   std::printf("\n  worst-case speedup: %.2fx (target >= 1.5x)\n",
               worst_speedup);
 
-  // More reps than the engine table: the guard compares two nearly equal
-  // speeds, so the best-of maxima need more samples to converge under
-  // machine noise than a 2x-apart engine comparison does.
-  constexpr int kOverheadReps = 15;
-  const OverheadResult overhead = measure_timeline_overhead(kOverheadReps);
+  // More runs than the engine table: the guard compares two nearly equal
+  // speeds, which needs more samples than a 2x-apart engine comparison.
+  constexpr int kOverheadPairs = 15;
+  std::uint64_t guard_events = 0;
+  const auto guard_run = [&guard_events](bool stage_stats) {
+    const GuardRun r = run_pipeline_once(stage_stats);
+    guard_events = r.events;
+    return r.cpu_s;
+  };
+  const bench::PairedOverhead overhead = bench::paired_overhead(
+      kOverheadPairs, [&] { return guard_run(false); },
+      [&] { return guard_run(true); });
+  const auto events_per_s = [&](double cpu_s) {
+    return cpu_s > 0.0 ? static_cast<double>(guard_events) / cpu_s : 0.0;
+  };
   std::printf(
-      "\n  request-timeline overhead (tracing disabled, best of %d "
-      "alternating reps):\n"
+      "\n  request-timeline overhead (tracing disabled, median of %d "
+      "interleaved pairs, thread CPU time):\n"
       "    attribution off %.2fM ev/s, on %.2fM ev/s -> %.2f%% overhead "
       "(target < 5%%): %s\n",
-      kOverheadReps, overhead.baseline.events_per_s / 1e6,
-      overhead.timeline.events_per_s / 1e6, overhead.overhead_frac() * 100.0,
-      overhead.overhead_frac() < 0.05 ? "PASS" : "FAIL");
+      kOverheadPairs, events_per_s(overhead.off_s) / 1e6,
+      events_per_s(overhead.on_s) / 1e6, overhead.overhead_frac * 100.0,
+      overhead.overhead_frac < 0.05 ? "PASS" : "FAIL");
 
+  if (out_path.empty()) return 0;
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -410,12 +395,13 @@ int main(int argc, char** argv) {
   std::snprintf(tail, sizeof(tail),
                 "    ],\n    \"worst_speedup\": %.3f\n  },\n"
                 "  \"timeline_overhead\": {\n"
+                "    \"pairs\": %d,\n"
                 "    \"baseline_events_per_s\": %.0f,\n"
                 "    \"stage_stats_events_per_s\": %.0f,\n"
                 "    \"overhead_frac\": %.4f,\n"
                 "    \"budget_frac\": 0.05\n  }\n}\n",
-                worst_speedup, overhead.baseline.events_per_s,
-                overhead.timeline.events_per_s, overhead.overhead_frac());
+                worst_speedup, overhead.pairs, events_per_s(overhead.off_s),
+                events_per_s(overhead.on_s), overhead.overhead_frac);
   out << tail;
   std::printf("  [perf] %s\n", out_path.c_str());
   return 0;

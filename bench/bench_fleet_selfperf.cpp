@@ -16,9 +16,10 @@
 // speedup gates compare two runs of the same build but still need real
 // cores, so they print SKIP (not FAIL) below 2 / 4 workers and the JSON
 // carries `workers` for scripts/check.sh to condition its jq gates on.
-// Results land in a JSON report (default BENCH_fleet.json, --out <path>)
-// which scripts/run_perf.sh merges into BENCH_perf.json as
-// `fleet_selfperf`; docs/performance.md describes the format.
+// With --out <path> the results also go to a JSON report, which
+// scripts/run_perf.sh merges into BENCH_perf.json as `fleet_selfperf`
+// (docs/performance.md describes the format). Without it the bench only
+// prints.
 //
 // --gate 1 runs the deterministic 16-rig gate topology only (energy
 // attribution on, no timing): scripts/check_fleet.sh byte-compares the
@@ -146,7 +147,7 @@ bool run_gate(std::size_t shards, std::size_t workers) {
 
 int main(int argc, char** argv) {
   bench::init(argc, argv);
-  std::string out_path = "BENCH_fleet.json";
+  std::string out_path;
   int reps = 2;
   std::size_t shards = 0;   // 0 = FleetSim's default (min(rigs, 4 * jobs))
   std::size_t workers = 0;  // 0 = hardware threads
@@ -253,6 +254,7 @@ int main(int argc, char** argv) {
                 resolved_workers);
   }
 
+  if (out_path.empty()) return all_ok ? 0 : 1;
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

@@ -34,6 +34,7 @@
 #include "core/capgpu_controller.hpp"
 #include "core/rig.hpp"
 #include "hw/server_model.hpp"
+#include "overhead.hpp"
 #include "sim/engine.hpp"
 #include "telemetry/energy.hpp"
 #include "telemetry/flight.hpp"
@@ -557,6 +558,7 @@ struct Row {
 // period; the energy ledger adds one meter average plus batch-drain
 // accounting per period and one struct append per completed batch. The
 // guards keep each within the repo's 5% observability budget on a full run.
+// Returns the run's thread CPU seconds.
 double run_control_loop_seconds(bool flight_on, bool energy_on = false) {
   telemetry::MetricsRegistry registry;
   telemetry::MetricsRegistry::ScopedCurrent metrics_guard(registry);
@@ -574,35 +576,11 @@ double run_control_loop_seconds(bool flight_on, bool energy_on = false) {
                        // well under the 5% overhead budget being measured
   opt.set_point = 900_W;
   opt.energy_attribution = energy_on;
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = bench::thread_cpu_s();
   (void)rig.run(ctl, opt);
-  const auto t1 = std::chrono::steady_clock::now();
+  const double secs = bench::thread_cpu_s() - t0;
   recorder.finish();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-struct FeatureOverhead {
-  double baseline_s{0.0};
-  double feature_s{0.0};
-  [[nodiscard]] double overhead_frac() const {
-    return baseline_s > 0.0 ? feature_s / baseline_s - 1.0 : 0.0;
-  }
-};
-
-template <typename BaselineRun, typename FeatureRun>
-FeatureOverhead measure_overhead(int reps, BaselineRun&& baseline_run,
-                                 FeatureRun&& feature_run) {
-  // A single control-loop run is ~25 ms, so extra reps are cheap; triple
-  // the request to keep the min-of-reps estimate stable against transient
-  // machine noise (the gate compares against a 5% budget, and a single
-  // slow feature rep in a min-of-3 can fake a budget overrun).
-  const int overhead_reps = 3 * reps;
-  FeatureOverhead m{1e300, 1e300};
-  for (int r = 0; r < overhead_reps; ++r) {
-    m.baseline_s = std::min(m.baseline_s, baseline_run());
-    m.feature_s = std::min(m.feature_s, feature_run());
-  }
-  return m;
+  return secs;
 }
 
 // Reps alternate legacy/pooled so both pipelines sample the same machine
@@ -676,21 +654,24 @@ int main(int argc, char** argv) {
   std::printf("\n  worst-case speedup: %.2fx (target >= 2.0x on open-loop)\n",
               worst_speedup);
 
-  const FeatureOverhead flight = measure_overhead(
-      reps, [] { return run_control_loop_seconds(false); },
+  // A single control-loop run is ~75 ms, so extra pairs are cheap; three
+  // per requested rep keep the median stable against transient noise.
+  const int pairs = 3 * reps;
+  const bench::PairedOverhead flight = bench::paired_overhead(
+      pairs, [] { return run_control_loop_seconds(false); },
       [] { return run_control_loop_seconds(true); });
   std::printf(
       "  flight recorder: baseline %.3f s, recording %.3f s -> %+.1f%% "
-      "(budget 5%%)\n",
-      flight.baseline_s, flight.feature_s, flight.overhead_frac() * 100.0);
+      "(median of %d pairs, thread CPU time; budget 5%%)\n",
+      flight.off_s, flight.on_s, flight.overhead_frac * 100.0, pairs);
 
-  const FeatureOverhead energy = measure_overhead(
-      reps, [] { return run_control_loop_seconds(false, false); },
+  const bench::PairedOverhead energy = bench::paired_overhead(
+      pairs, [] { return run_control_loop_seconds(false, false); },
       [] { return run_control_loop_seconds(false, true); });
   std::printf(
       "  energy ledger:   baseline %.3f s, attributing %.3f s -> %+.1f%% "
-      "(budget 5%%)\n",
-      energy.baseline_s, energy.feature_s, energy.overhead_frac() * 100.0);
+      "(median of %d pairs, thread CPU time; budget 5%%)\n",
+      energy.off_s, energy.on_s, energy.overhead_frac * 100.0, pairs);
 
   if (out_path.empty()) return 0;
   std::ofstream out(out_path);
@@ -717,18 +698,20 @@ int main(int argc, char** argv) {
   std::snprintf(tail, sizeof(tail),
                 "    ],\n    \"worst_speedup\": %.3f\n  },\n"
                 "  \"flight_overhead\": {\n"
+                "    \"pairs\": %d,\n"
                 "    \"baseline_s\": %.6f,\n"
                 "    \"flight_s\": %.6f,\n"
                 "    \"overhead_frac\": %.4f,\n"
                 "    \"budget_frac\": 0.05\n  },\n"
                 "  \"energy_overhead\": {\n"
+                "    \"pairs\": %d,\n"
                 "    \"baseline_s\": %.6f,\n"
                 "    \"energy_s\": %.6f,\n"
                 "    \"overhead_frac\": %.4f,\n"
                 "    \"budget_frac\": 0.05\n  }\n}\n",
-                worst_speedup, flight.baseline_s, flight.feature_s,
-                flight.overhead_frac(), energy.baseline_s, energy.feature_s,
-                energy.overhead_frac());
+                worst_speedup, pairs, flight.off_s, flight.on_s,
+                flight.overhead_frac, pairs, energy.off_s, energy.on_s,
+                energy.overhead_frac);
   out << tail;
   std::printf("  [perf] %s\n", out_path.c_str());
   return 0;

@@ -29,14 +29,19 @@ ctest --test-dir build -L chaos --output-on-failure
 ctest --test-dir build -L fleet --output-on-failure
 
 # Release perf smoke: the allocation-free control-solve tests plus short
-# pipeline and control-solve self-perf runs. Gates on the reports' shape
-# (speedup fields present), on the pooled hot path not regressing below the
-# legacy pipeline, and on the tiered control solve not regressing below the
-# dense active-set path; the full-length numbers live in BENCH_perf.json
+# engine, pipeline and control-solve self-perf runs. Gates on the reports'
+# shape (speedup fields present), on the pooled hot path not regressing
+# below the legacy pipeline, on the tiered control solve not regressing
+# below the dense active-set path, and on the three observability overhead
+# guards (median of interleaved off/on pairs in thread CPU time) staying
+# within their 5% budget; the full-length numbers live in BENCH_perf.json
 # via scripts/run_perf.sh.
 cmake --preset release >/dev/null
 cmake --build build-release -j"$(nproc)" >/dev/null
 ctest --test-dir build-release -L perf --output-on-failure
+./build-release/bench/bench_engine_selfperf --out /tmp/check_engine.json
+jq -e '.timeline_overhead | .overhead_frac <= .budget_frac' /tmp/check_engine.json >/dev/null \
+  || { echo "FAIL: request-timeline overhead exceeds the 5% budget" >&2; exit 1; }
 ./build-release/bench/bench_pipeline_selfperf --reps 3 --out /tmp/check_pipeline.json
 jq -e '.pipeline_selfperf.workloads | length > 0 and all(.speedup != null)' \
   /tmp/check_pipeline.json >/dev/null \

@@ -80,6 +80,16 @@ const KeyTable& key_table() {
   return table;
 }
 
+/// Bucket key of a tracked quantized value. Span loops resolve `table`
+/// once per span (null when the sketch's spec has no table), so the
+/// per-element lookup skips the guard of the table's function-local static.
+int span_key(const QuantileSketch& sketch, const KeyTable* table,
+             std::uint64_t q) {
+  return table != nullptr && KeyTable::covers(q)
+             ? table->key(q)
+             : sketch.bucket_key_by_log(std::bit_cast<double>(q));
+}
+
 }  // namespace
 
 QuantileSketch::QuantileSketch(QuantileSketchSpec spec) : spec_(spec) {
@@ -130,62 +140,70 @@ void QuantileSketch::grow_to(int key) noexcept {
 double QuantileSketch::observe_span_record(const double* v, std::size_t n,
                                            SpanRecord& rec) noexcept {
   rec.quant.resize(n);
-  rec.updates.clear();
   rec.n = n;
-  rec.zeros = 0;
-  rec.quant_sum = 0.0;
-  rec.qmin = std::numeric_limits<double>::infinity();
-  rec.qmax = -std::numeric_limits<double>::infinity();
-  if (n == 0) return 0.0;
-  // The record (and therefore everything the sketch accumulates on the
-  // span path) is built from quantized values, so any span with the same
-  // quantized fingerprint produces the byte-identical contribution whether
-  // observed here or replayed via apply_record.
+  // Everything the sketch accumulates on the span path is built from the
+  // quantized values, so any span with the same quantized fingerprint
+  // produces the identical contribution whether observed here or replayed
+  // via apply_record.
+  const KeyTable* table = key_table_ ? &key_table() : nullptr;
+  const double min_trackable = spec_.min_trackable;
+  BucketView view = bucket_view();
+  std::uint64_t zeros = 0;
   double sum = 0.0;
+  double qmin = std::numeric_limits<double>::infinity();
+  double qmax = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
     const double x = v[i] > 0.0 ? v[i] : 0.0;
     const std::uint64_t q = std::bit_cast<std::uint64_t>(x) & kQuantMask;
     rec.quant[i] = q;
-    sum += std::bit_cast<double>(q);
-  }
-  rec.quant_sum = sum;
-  // Resolved once per span, so the per-element lookup skips the guard of
-  // the table's function-local static.
-  const KeyTable* table = key_table_ ? &key_table() : nullptr;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t q = rec.quant[i];
     const double qx = std::bit_cast<double>(q);
-    if (qx < spec_.min_trackable) {
-      ++rec.zeros;
+    sum += qx;
+    if (qx < min_trackable) {
+      ++zeros;
       continue;
     }
-    const int key = table != nullptr && KeyTable::covers(q)
-                        ? table->key(q)
-                        : bucket_key_by_log(qx);
     // min/max from the quantized value: under-reads the exact one by at
     // most 2^-14 relative, far inside the sketch's error bound.
-    if (qx < rec.qmin) rec.qmin = qx;
-    if (qx > rec.qmax) rec.qmax = qx;
-    if (!rec.updates.empty() && rec.updates.back().key == key) {
-      ++rec.updates.back().count;
-    } else {
-      rec.updates.push_back({key, 1});
+    if (qx < qmin) qmin = qx;
+    if (qx > qmax) qmax = qx;
+    const int key = span_key(*this, table, q);
+    if (key < view.lo || key > view.hi) {
+      grow_to(key);
+      view = bucket_view();
     }
+    ++view.base[key - view.lo];
   }
-  apply_record(rec, 1);
+  rec.zeros = zeros;
+  rec.quant_sum = sum;
+  rec.qmin = qmin;
+  rec.qmax = qmax;
+  add_span_totals(rec, 1);
   return sum;
 }
 
 void QuantileSketch::apply_record(const SpanRecord& rec,
                                   std::uint64_t k) noexcept {
-  if (k == 0 || rec.n == 0) return;
+  if (k == 0) return;
+  add_span_totals(rec, k);
+  const KeyTable* table = key_table_ ? &key_table() : nullptr;
+  const double min_trackable = spec_.min_trackable;
+  BucketView view = bucket_view();
+  for (const std::uint64_t q : rec.quant) {
+    if (std::bit_cast<double>(q) < min_trackable) continue;
+    const int key = span_key(*this, table, q);
+    if (key < view.lo || key > view.hi) {
+      grow_to(key);  // only when the record came from another sketch
+      view = bucket_view();
+    }
+    view.base[key - view.lo] += k;
+  }
+}
+
+void QuantileSketch::add_span_totals(const SpanRecord& rec,
+                                     std::uint64_t k) noexcept {
   count_ += k * rec.n;
   sum_ += static_cast<double>(k) * rec.quant_sum;
   zero_count_ += k * rec.zeros;
-  for (const SpanUpdate& u : rec.updates) {
-    grow_to(u.key);  // no-op unless the record came from another sketch
-    buckets_[static_cast<std::size_t>(u.key - offset_)] += k * u.count;
-  }
   if (rec.qmin < min_) min_ = rec.qmin;
   if (rec.qmax > max_) max_ = rec.qmax;
   if (rec.zeros != 0) {

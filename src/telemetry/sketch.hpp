@@ -34,23 +34,16 @@ struct QuantileSketchSpec {
   double min_trackable{1e-6};
 };
 
-/// One bucket delta of a recorded span (consecutive equal keys merged).
-struct SpanUpdate {
-  int key;
-  std::uint32_t count;
-};
-
 /// Replayable summary of one observed span: the quantized values (the
-/// span's fingerprint) plus the count/sum/bucket deltas the span produced.
+/// span's fingerprint) plus the count/sum/extrema the span produced.
 /// Produced by QuantileSketch::observe_span_record; a caller that sees the
-/// same quantized values again can re-apply the deltas in O(distinct
-/// buckets) via apply_record instead of re-observing every element — the
-/// workload pipeline uses this to keep steady-state attribution off the
-/// hot path. Keys are absolute, so sketch bucket growth between record and
-/// replay is harmless.
+/// same quantized values again can re-apply the span via apply_record
+/// instead of re-observing every element — the workload pipeline uses this
+/// to defer steady-state attribution to one replay per flush. Bucket keys
+/// are re-derived from the quantized values on replay, so sketch bucket
+/// growth between record and replay is harmless.
 struct SpanRecord {
   std::vector<std::uint64_t> quant;
-  std::vector<SpanUpdate> updates;
   std::uint64_t n{0};
   std::uint64_t zeros{0};
   /// Sum of the quantized clamped values (what observe_span returns).
@@ -100,15 +93,16 @@ class QuantileSketch {
   }
 
   /// observe_span that additionally fills `rec` with the span's fingerprint
-  /// and deltas. A caller whose next span's quantized values (compare via
-  /// quantized_bits) equal rec.quant can skip re-observation and call
-  /// apply_record(rec, 1) instead.
+  /// and totals, in the same single pass over the span. A caller whose next
+  /// span's quantized values (compare via quantized_bits) equal rec.quant
+  /// can skip re-observation and call apply_record(rec, 1) instead.
   double observe_span_record(const double* v, std::size_t n,
                              SpanRecord& rec) noexcept;
 
   /// Re-applies a span record `k` more times (k * rec.n observations), as
-  /// if the recorded span had been observed k additional times. Valid on
-  /// any sketch with the same spec as the recording one.
+  /// if the recorded span had been observed k additional times: O(rec.n),
+  /// independent of k. Valid on any sketch with the same spec as the
+  /// recording one.
   void apply_record(const SpanRecord& rec, std::uint64_t k) noexcept;
 
   /// Quantized bit pattern of a clamped span value — the unit of span
@@ -158,6 +152,21 @@ class QuantileSketch {
 
   [[nodiscard]] double bucket_value(int key) const noexcept;
   void grow_to(int key) noexcept;
+  /// Count, sum, zero count and extrema of `k` replays of a span (every
+  /// span statistic except the per-key bucket counts).
+  void add_span_totals(const SpanRecord& rec, std::uint64_t k) noexcept;
+
+  /// The dense bucket array and its key range [lo, hi], cached in locals by
+  /// the span loops; a key outside it grows the array and re-reads the view.
+  struct BucketView {
+    std::uint64_t* base;
+    int lo;
+    int hi;
+  };
+  [[nodiscard]] BucketView bucket_view() noexcept {
+    return {buckets_.data(), offset_,
+            offset_ + static_cast<int>(buckets_.size()) - 1};
+  }
 
   QuantileSketchSpec spec_;
   double gamma_{0.0};

@@ -154,6 +154,7 @@ void InferenceStream::worker_start_image(std::size_t w) {
   if (params_.open_loop) {
     if (pending_arrivals_.empty() || pending_arrivals_.front() > now) {
       // Nothing has arrived yet; submit/wakeup re-starts us.
+      set_worker_computing(w, false);
       idle_workers_.push_back(w);
       maybe_arm_arrival_wakeup();
       return;
@@ -220,7 +221,9 @@ void InferenceStream::maybe_arm_arrival_wakeup() {
 }
 
 void InferenceStream::worker_finish_image(std::size_t w) {
-  set_worker_computing(w, false);  // compute done; may still block on queue
+  // The worker still counts as computing: it either restarts within this
+  // event (no host-load round trip) or reports the stop when it blocks on
+  // a full queue or idles for lack of arrivals.
   pool_.preprocess_done[workers_[w].req] = engine_->now();
   preprocess_compute_.record(engine_->now(), workers_[w].compute);
   worker_try_push(w);
@@ -242,6 +245,7 @@ void InferenceStream::worker_try_push(std::size_t w) {
                                engine_->now() - pool_.preprocess_start[id]);
     worker_start_image(w);
   } else {
+    set_worker_computing(w, false);
     blocked_workers_.push_back(w);  // consumer_try_start wakes us LIFO
   }
 }
@@ -326,34 +330,35 @@ void InferenceStream::record_stage_stats(double exec_latency,
   const sim::SimTime* pre_done = pool_.preprocess_done.data();
   const sim::SimTime* bstart = pool_.batch_start.data();
   // This is the pipeline's hot loop — the selfperf timeline-overhead guard
-  // holds the whole block under 5% of the event rate. A steady-state
-  // deterministic pipeline produces the same per-batch stage durations
-  // every batch (to within ULP jiggle, which the sketch quantization
-  // absorbs), so the common case is one fused traversal comparing the
-  // batch's quantized durations against the last distinct batch's span
-  // records: on a match the batch is deferred as a pending replay and no
-  // sketch is touched at all.
+  // holds the whole block under 5% of the event rate. A deterministic
+  // steady-state pipeline (zero jitter) produces the same per-batch stage
+  // durations every batch (to within ULP jiggle, which the sketch
+  // quantization absorbs): there the batch's quantized durations match the
+  // last distinct batch's span records, the batch is deferred as a pending
+  // replay and no sketch is touched at all. With jitter every batch
+  // differs, usually in its first request, so the comparison stops at the
+  // first mismatch and the batch goes straight to the one-pass observe.
   bool recorded = false;
-  if (rec_valid_ && rec_cpu_.n == n) {
+  if (rec_valid_ && rec_cpu_.n == n &&
+      QuantileSketch::quantized_bits(exec_latency) == rec_exec_.quant[0]) {
     const std::uint64_t* qc = rec_cpu_.quant.data();
     const std::uint64_t* qb = rec_bq_.quant.data();
     const std::uint64_t* qt = rec_total_.quant.data();
     const std::uint64_t* qp = open ? rec_pq_.quant.data() : nullptr;
-    std::uint64_t diff =
-        QuantileSketch::quantized_bits(exec_latency) ^ rec_exec_.quant[0];
-    for (std::size_t i = 0; i < count; ++i) {
+    std::size_t i = 0;
+    for (; i < count; ++i) {
       const RequestId id = ids[i];
-      diff |= QuantileSketch::quantized_bits(pre_done[id] - pre_start[id]) ^
-              qc[i];
-      diff |= QuantileSketch::quantized_bits(bstart[id] - pre_done[id]) ^
-              qb[i];
-      diff |= QuantileSketch::quantized_bits(completed - arrival[id]) ^ qt[i];
-      if (open) {
-        diff |= QuantileSketch::quantized_bits(pre_start[id] - arrival[id]) ^
-                qp[i];
+      if (QuantileSketch::quantized_bits(pre_done[id] - pre_start[id]) !=
+              qc[i] ||
+          QuantileSketch::quantized_bits(bstart[id] - pre_done[id]) !=
+              qb[i] ||
+          QuantileSketch::quantized_bits(completed - arrival[id]) != qt[i] ||
+          (open && QuantileSketch::quantized_bits(pre_start[id] -
+                                                  arrival[id]) != qp[i])) {
+        break;
       }
     }
-    if (diff == 0) {
+    if (i == count) {
       ++pending_batches_;
       stage_sum_[kCpu] += rec_cpu_.quant_sum;
       stage_sum_[kBq] += rec_bq_.quant_sum;

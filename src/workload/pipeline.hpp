@@ -105,8 +105,18 @@ class InferenceStream {
   [[nodiscard]] double max_images_per_s() const;
 
   /// Called with +1/-1 when a preprocessing worker starts/stops computing
-  /// (used by HostCpuLoad to aggregate package utilization).
+  /// (used by HostCpuLoad to aggregate package utilization). A worker stops
+  /// only when it blocks on a full queue or idles with no arrival; one that
+  /// finishes an image and starts the next within the same event reports
+  /// nothing.
   std::function<void(int)> on_worker_compute_change;
+  /// Workers parked on a full queue / idle for lack of arrivals (open loop).
+  [[nodiscard]] std::size_t blocked_workers() const {
+    return blocked_workers_.size();
+  }
+  [[nodiscard]] std::size_t idle_workers() const {
+    return idle_workers_.size();
+  }
 
   /// Frequency governing preprocessing speed. Defaults to the host CPU's
   /// package frequency (whole-package DVFS, as in the motivation

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -219,6 +221,125 @@ TEST(QuantileSketch, ApplyRecordZeroTimesIsANoOp) {
   QuantileSketch s;
   s.apply_record(rec, 0);
   EXPECT_EQ(s.count(), 0u);
+}
+
+/// The value a span element contributes: its quantized clamped bits.
+double quantized(double x) {
+  return std::bit_cast<double>(QuantileSketch::quantized_bits(x));
+}
+
+/// Quantile at every rank. Equal vectors mean equal zero counts and equal
+/// counts in every bucket (bucket values are strictly increasing in key).
+std::vector<double> every_rank(const QuantileSketch& s) {
+  if (s.count() < 2) return {s.quantile(0.0)};
+  std::vector<double> out;
+  const double last = static_cast<double>(s.count() - 1);
+  for (std::uint64_t r = 0; r < s.count(); ++r) {
+    out.push_back(s.quantile(static_cast<double>(r) / last));
+  }
+  return out;
+}
+
+/// A latency span salted with every key path: negatives, zeros, values
+/// under each spec's min_trackable, values under the key table's first
+/// binade (2^-20) but still tracked by a small min_trackable, and values
+/// past its last binade (2^12), all of which take the log fallback.
+std::vector<double> mixed_span(std::uint64_t seed) {
+  std::vector<double> v = latency_sample(seed, 240);
+  const double specials[] = {-0.25, 0.0,    5e-9,   5e-8,   3e-7,
+                             -1e-3, 6000.0, 1.5e5,  4095.9, 1.01e-6};
+  for (std::size_t i = 0; i < v.size(); i += 12) {
+    v[i] = specials[(i / 12) % std::size(specials)];
+  }
+  return v;
+}
+
+/// The default spec, the table with a min_trackable under its first
+/// binade, and a spec without a table.
+const QuantileSketchSpec kSpanSpecs[] = {
+    QuantileSketchSpec{}, QuantileSketchSpec{0.01, 1e-7},
+    QuantileSketchSpec{0.05, 1e-8}};
+
+TEST(QuantileSketch, OnePassSpanRecordMatchesQuantizedObserve) {
+  const std::vector<double> span = mixed_span(53);
+  for (const QuantileSketchSpec& spec : kSpanSpecs) {
+    SCOPED_TRACE(spec.relative_error);
+    SCOPED_TRACE(spec.min_trackable);
+    QuantileSketch spanwise(spec);
+    SpanRecord rec;
+    const double sum =
+        spanwise.observe_span_record(span.data(), span.size(), rec);
+    QuantileSketch elementwise(spec);
+    std::size_t table_keys = 0;
+    std::size_t log_keys = 0;
+    for (const double x : span) {
+      elementwise.observe(quantized(x));
+      if (quantized(x) >= spec.min_trackable) {
+        ++(elementwise.key_from_table(quantized(x)) ? table_keys : log_keys);
+      }
+    }
+    if (spec.relative_error == QuantileSketchSpec{}.relative_error) {
+      EXPECT_GT(table_keys, 0u);
+    }
+    EXPECT_GT(log_keys, 0u);
+
+    ASSERT_EQ(rec.n, span.size());
+    ASSERT_EQ(rec.quant.size(), span.size());
+    for (std::size_t i = 0; i < span.size(); ++i) {
+      EXPECT_EQ(rec.quant[i], QuantileSketch::quantized_bits(span[i]));
+    }
+    // Same values added in the same order: the sums agree bit for bit.
+    EXPECT_EQ(sum, elementwise.sum());
+    EXPECT_EQ(rec.quant_sum, sum);
+    EXPECT_EQ(spanwise.sum(), elementwise.sum());
+    EXPECT_EQ(spanwise.count(), elementwise.count());
+    EXPECT_EQ(spanwise.min(), elementwise.min());
+    EXPECT_EQ(spanwise.max(), elementwise.max());
+    EXPECT_EQ(spanwise.bucket_count(), elementwise.bucket_count());
+    EXPECT_EQ(every_rank(spanwise), every_rank(elementwise));
+  }
+}
+
+TEST(QuantileSketch, ApplyRecordEqualsFurtherObservations) {
+  const std::vector<double> span = mixed_span(59);
+  constexpr std::uint64_t k = 5;
+  for (const QuantileSketchSpec& spec : kSpanSpecs) {
+    SCOPED_TRACE(spec.relative_error);
+    SCOPED_TRACE(spec.min_trackable);
+    // On the recording sketch (every key already allocated) and on one
+    // holding a single mid-range value, which the replay must grow below
+    // and above.
+    QuantileSketch recorder(spec);
+    SpanRecord rec;
+    recorder.observe_span_record(span.data(), span.size(), rec);
+    QuantileSketch seeded(spec);
+    seeded.observe(0.5);
+
+    QuantileSketch observed_after_record(spec);
+    for (const double x : span) observed_after_record.observe(quantized(x));
+    QuantileSketch observed_after_seed(spec);
+    observed_after_seed.observe(0.5);
+    for (std::uint64_t r = 0; r < k; ++r) {
+      for (const double x : span) {
+        observed_after_record.observe(quantized(x));
+        observed_after_seed.observe(quantized(x));
+      }
+    }
+    recorder.apply_record(rec, k);
+    seeded.apply_record(rec, k);
+
+    for (const auto& [replayed, observed] :
+         {std::pair{&recorder, &observed_after_record},
+          std::pair{&seeded, &observed_after_seed}}) {
+      EXPECT_EQ(replayed->count(), observed->count());
+      EXPECT_EQ(replayed->min(), observed->min());
+      EXPECT_EQ(replayed->max(), observed->max());
+      // k * quant_sum rounds differently from k repeated additions.
+      EXPECT_NEAR(replayed->sum(), observed->sum(), 1e-12 * observed->sum());
+      EXPECT_EQ(replayed->bucket_count(), observed->bucket_count());
+      EXPECT_EQ(every_rank(*replayed), every_rank(*observed));
+    }
+  }
 }
 
 TEST(QuantileSketch, QuantizedBitsStableAcrossUlpJiggle) {

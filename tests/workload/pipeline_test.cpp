@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "common/error.hpp"
 #include "workload/latency_law.hpp"
@@ -226,6 +228,87 @@ TEST(Pipeline, PinnedPreprocessFrequencyDecouplesFromCpu) {
   h.run(30.0);
   EXPECT_NEAR(h.stream->preprocess_compute_latency().mean(30.0, 10.0),
               0.02 / 2.4, 1e-9);
+}
+
+
+TEST(Pipeline, FingerprintReplayStopsAtFirstDifferingRequest) {
+  // One worker feeding a GPU-bound stream at zero jitter: batch j holds
+  // images 10j..10j+9 in start order, and steady-state batches repeat their
+  // quantized stage durations, so they are deferred as fingerprint replays.
+  // The preprocess frequency drops after image kSwitch, in the middle of a
+  // batch. That batch matches the recorded one in its first requests and
+  // differs only in its later ones: it must be observed, not replayed.
+  constexpr std::uint64_t kSwitch = 305;
+  // A private registry: the stage sketches are keyed by model name, which
+  // every test here shares.
+  telemetry::MetricsRegistry registry;
+  telemetry::MetricsRegistry::ScopedCurrent scope(registry);
+  PipelineHarness h(fast_model(1));
+  std::uint64_t started = 0;
+  h.stream->preprocess_frequency = [&started] {
+    return started++ < kSwitch ? 2.4_GHz : 2.0_GHz;
+  };
+  h.server.gpu(0).set_core_clock(1350_MHz);  // 50 img/s, GPU-bound
+  h.stream->start();
+  h.run(20.0);
+  const std::uint64_t done = h.stream->images_completed();
+  ASSERT_GT(done, kSwitch + 100);
+
+  const telemetry::QuantileSketch* cpu =
+      h.stream->stage_sketch(Stage::kCpuPreprocess);
+  ASSERT_EQ(cpu->count(), done);
+  // Images complete in start order: ranks [0, kSwitch) took the fast
+  // duration, ranks [kSwitch, done) the slow one.
+  const double fast = 0.02 / 2.4;
+  const double slow = 0.02 / 2.0;
+  const double last = static_cast<double>(done - 1);
+  const auto at_rank = [&](std::uint64_t r) {
+    return cpu->quantile(static_cast<double>(r) / last);
+  };
+  EXPECT_NEAR(at_rank(0), fast, 0.011 * fast);
+  EXPECT_NEAR(at_rank(kSwitch - 1), fast, 0.011 * fast);
+  EXPECT_NEAR(at_rank(kSwitch), slow, 0.011 * slow);
+  EXPECT_NEAR(at_rank(done - 1), slow, 0.011 * slow);
+}
+
+TEST(Pipeline, HostLoadCountsWorkersNeitherBlockedNorIdle) {
+  constexpr std::size_t kWorkers = 3;
+  for (const bool open_loop : {false, true}) {
+    SCOPED_TRACE(open_loop ? "open loop" : "closed loop");
+    StreamParams p = fast_model(kWorkers);
+    p.open_loop = open_loop;
+    PipelineHarness h(p);
+    long computing = 0;
+    h.stream->on_worker_compute_change = [&computing](int d) {
+      computing += d;
+    };
+    h.server.cpu().set_frequency(2.4_GHz);     // 3 workers: 360 img/s
+    h.server.gpu(0).set_core_clock(1350_MHz);  // GPU: 50 img/s
+    h.stream->start();
+    if (open_loop) {
+      // Bursts of 40 requests once a second: workers fill the GPU batch
+      // and the queue and block during a burst, then idle until the next.
+      std::vector<double> arrivals;
+      for (int burst = 0; burst < 20; ++burst) {
+        for (int i = 0; i < 40; ++i) arrivals.push_back(burst + 1e-3 * i);
+      }
+      h.stream->submit_arrivals(arrivals.data(), arrivals.size());
+    }
+    std::size_t max_blocked = 0;
+    std::size_t max_idle = 0;
+    do {
+      const std::size_t blocked = h.stream->blocked_workers();
+      const std::size_t idle = h.stream->idle_workers();
+      ASSERT_EQ(computing, static_cast<long>(kWorkers - blocked - idle))
+          << "t=" << h.engine.now();
+      max_blocked = std::max(max_blocked, blocked);
+      max_idle = std::max(max_idle, idle);
+    } while (h.engine.now() < 20.0 && h.engine.step());
+    EXPECT_GT(max_blocked, 0u);
+    if (open_loop) {
+      EXPECT_EQ(max_idle, kWorkers);
+    }
+  }
 }
 
 }  // namespace

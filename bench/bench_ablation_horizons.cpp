@@ -81,9 +81,8 @@ int main(int argc, char** argv) {
            {8, 4},
            {16, 2},
            {16, 8},
-           // Fleet-sized horizons: with the folded tracking assembly and the
-           // solver's analytic fast path, P is ~free and only M (the QP
-           // dimension) costs.
+           // Fleet-sized horizons: with the folded tracking assembly, P is
+           // ~free and only M (the QP dimension) costs.
            {32, 8},
            {64, 8}}) {
     cells.push_back({p, m, run_one(p, m)});
@@ -102,8 +101,8 @@ int main(int argc, char** argv) {
       "every configuration (damping, not horizons, widens it — see\n"
       "bench_ablation_stability). What the horizons do set is cost: M\n"
       "drives the QP dimension, while P is ~free — the tracking term is\n"
-      "folded into M rank-1 updates at assembly and the fast-path solve\n"
-      "never touches P directly (P=64 costs what P=16 does).\n");
+      "folded into M rank-1 updates at assembly and the QP solve never\n"
+      "touches P directly (P=64 costs what P=16 does).\n");
   std::printf("\nShape checks:\n");
   bool all_track = true;
   for (const auto& c : cells) all_track = all_track && c.o.abs_err < 10.0;

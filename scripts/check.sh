@@ -29,10 +29,9 @@ ctest --test-dir build -L chaos --output-on-failure
 ctest --test-dir build -L fleet --output-on-failure
 
 # Release perf smoke: the allocation-free control-solve tests plus short
-# engine, pipeline and control-solve self-perf runs. Gates on the reports'
-# shape (speedup fields present), on the pooled hot path not regressing
-# below the legacy pipeline, on the tiered control solve not regressing
-# below the dense active-set path, and on the three observability overhead
+# engine, pipeline and fleet self-perf runs. Gates on the reports' shape
+# (speedup fields present), on the pooled hot path not regressing below
+# the legacy pipeline, and on the three observability overhead
 # guards (median of interleaved off/on pairs in thread CPU time) staying
 # within their 5% budget; the full-length numbers live in BENCH_perf.json
 # via scripts/run_perf.sh.
@@ -52,12 +51,6 @@ jq -e '.flight_overhead | .overhead_frac <= .budget_frac' /tmp/check_pipeline.js
   || { echo "FAIL: flight-recorder overhead exceeds the 5% budget" >&2; exit 1; }
 jq -e '.energy_overhead | .overhead_frac <= .budget_frac' /tmp/check_pipeline.json >/dev/null \
   || { echo "FAIL: energy-ledger overhead exceeds the 5% budget" >&2; exit 1; }
-./build-release/bench/bench_control_selfperf --reps 3 --out /tmp/check_control.json
-jq -e '.control_selfperf.configs | length > 0 and all(.fast_speedup != null)' \
-  /tmp/check_control.json >/dev/null \
-  || { echo "FAIL: control_selfperf report missing speedup fields" >&2; exit 1; }
-jq -e '.control_selfperf.worst_speedup >= 1.0' /tmp/check_control.json >/dev/null \
-  || { echo "FAIL: fast-path control solve slower than dense active-set (worst_speedup < 1.0)" >&2; exit 1; }
 ./build-release/bench/bench_fleet_selfperf --reps 2 --out /tmp/check_fleet.json
 jq -e '.fleet_selfperf.topologies | length > 0 and all(.deterministic)' \
   /tmp/check_fleet.json >/dev/null \

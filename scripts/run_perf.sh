@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Performance report: builds Release, runs the engine, pipeline,
-# control-solve and fleet self-perf microbenchmarks, then times one parallel sweep
+# Performance report: builds Release, runs the engine, pipeline and fleet
+# self-perf microbenchmarks, then times one parallel sweep
 # (bench_fig6_setpoint_sweep) at --jobs 1 vs --jobs $(nproc) and verifies
 # the outputs are byte-identical. Everything lands in BENCH_perf.json,
 # headed by the machine it ran on (nproc, compiler, build type, git rev);
@@ -14,7 +14,7 @@ JOBS="$(nproc)"
 cmake --preset release >/dev/null
 cmake --build build-release -j"$JOBS" \
   --target bench_engine_selfperf bench_pipeline_selfperf \
-  bench_control_selfperf bench_fleet_selfperf \
+  bench_fleet_selfperf \
   bench_fig6_setpoint_sweep >/dev/null
 
 # A bench whose own shape gate fails still writes its report; record it,
@@ -29,9 +29,6 @@ run_bench bench_engine_selfperf --out "$OUT.selfperf"
 
 echo "==== pipeline self-perf (Release)"
 run_bench bench_pipeline_selfperf --out "$OUT.pipeline"
-
-echo "==== control self-perf (Release)"
-run_bench bench_control_selfperf --reps 15 --out "$OUT.control"
 
 echo "==== fleet self-perf (Release)"
 run_bench bench_fleet_selfperf --reps 3 --out "$OUT.fleet"
@@ -65,11 +62,10 @@ jq --argjson seq "$seq_s" --argjson par "$par_s" --argjson jobs "$JOBS" \
   --arg compiler "$compiler" --arg build_type "$build_type" \
   --arg git_rev "$git_rev" \
   --slurpfile pipeline "$OUT.pipeline" \
-  --slurpfile control "$OUT.control" \
   --slurpfile fleet "$OUT.fleet" \
   '{machine: {nproc: $jobs, compiler: $compiler, build_type: $build_type,
               git_rev: $git_rev}}
-     + . + $pipeline[0] + $control[0] + $fleet[0]
+     + . + $pipeline[0] + $fleet[0]
      + {parallel_sweep: {bench: "bench_fig6_setpoint_sweep",
                          scenarios: 35,
                          jobs: $jobs,
@@ -78,7 +74,7 @@ jq --argjson seq "$seq_s" --argjson par "$par_s" --argjson jobs "$JOBS" \
                          speedup: (if $par > 0 then $seq / $par else 0 end),
                          byte_identical: true}}' \
   "$OUT.selfperf" > "$OUT"
-rm -f "$OUT.selfperf" "$OUT.pipeline" "$OUT.control" "$OUT.fleet"
+rm -f "$OUT.selfperf" "$OUT.pipeline" "$OUT.fleet"
 echo "  [perf] $OUT"
 if ((${#gate_failures[@]})); then
   echo "FAIL: shape gates failed in: ${gate_failures[*]} (numbers recorded)" >&2

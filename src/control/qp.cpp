@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/error.hpp"
 #include "linalg/inplace.hpp"
@@ -89,114 +88,6 @@ void QpSolver::kkt_solve(const QpProblem& problem, QpWorkspace& ws) const {
                            ws.sol_.data());
 }
 
-// The cold loop, started at an interior x0 whose unconstrained optimum is
-// also interior, does exactly this: (1) factor the bare-Hessian KKT system
-// and take the full Newton step (no constraint blocks), (2) refactor the
-// *same* H and find the step from the new iterate stationary, converging
-// with an empty active set. This method replays that arithmetic — the
-// gradient build, the triangular solves, the line-search test, the update
-// `x += 1.0 * p` and both stationarity checks use the cold loop's exact
-// expressions — against a persistent LU of H instead of two fresh
-// factorisations. Every certification failure returns false with ws.x_
-// still at x0, so the cold loop runs as if the attempt never happened.
-bool QpSolver::try_fast_path(const QpProblem& problem, QpWorkspace& ws) const {
-  const std::size_t n = problem.g.size();
-  const std::size_t m = problem.c.rows();
-  if (!ws.fast_valid_) {
-    if (ws.fast_n_ != n) {
-      ws.fast_n_ = n;
-      ws.fast_h_.resize(n * n);
-      ws.fast_lu_.resize(n * n);
-      ws.fast_piv_.resize(n);
-      ws.fast_x_.resize(n);
-    }
-    const double* h = problem.h.row(0).data();
-    std::copy(h, h + n * n, ws.fast_h_.begin());
-    std::copy(h, h + n * n, ws.fast_lu_.begin());
-    try {
-      linalg::lu_factor_inplace(ws.fast_lu_.data(), n, n, ws.fast_piv_.data());
-    } catch (const NumericalError&) {
-      return false;  // near-singular H: let the cold loop report it
-    }
-    ws.fast_valid_ = true;
-  }
-
-  // Gradient and Newton step at x0 — kkt_solve's arithmetic with k = 0.
-  // (LU elimination never reads past column n, so factoring at stride n
-  // yields the same bits as the KKT buffer's stride n+m.)
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto hr = problem.h.row(r);
-    double acc = 0.0;
-    for (std::size_t c2 = 0; c2 < n; ++c2) acc += hr[c2] * ws.x_[c2];
-    ws.grad_[r] = acc + problem.g[r];
-  }
-  for (std::size_t r = 0; r < n; ++r) ws.rhs_[r] = -ws.grad_[r];
-  linalg::lu_solve_inplace(ws.fast_lu_.data(), n, n, ws.fast_piv_.data(),
-                           ws.rhs_.data(), ws.sol_.data());
-
-  const double stationary_tol =
-      options_.stationarity_tolerance * std::max(1.0, ws.x_.norm_inf());
-  double p_norm = 0.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    p_norm = std::max(p_norm, std::abs(ws.sol_[r]));
-  }
-  if (p_norm <= stationary_tol) {
-    // Already stationary with an empty working set: the cold loop would
-    // converge on iteration 1 without moving.
-    ws.iterations_ = 1;
-    ws.fast_hit_ = true;
-    ws.path_ = QpSolvePath::kFastPath;
-    return true;
-  }
-
-  // Line search over all (inactive ≡ all) constraints. Any blocking
-  // constraint (a_i < 1) means the step leaves the interior — fall back.
-  const double tol = options_.tolerance;
-  const double* const xp = ws.x_.data().data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const double cp = dot_row(problem.c, i, ws.sol_.data(), n);
-    if (cp > tol) {
-      const double room = problem.b[i] - dot_row(problem.c, i, xp, n);
-      const double a_i = std::max(0.0, room / cp);
-      if (a_i < 1.0) return false;
-    }
-  }
-
-  // Full step into the candidate buffer (the cold loop's `x += 1.0 * p`).
-  for (std::size_t r = 0; r < n; ++r) {
-    ws.fast_x_[r] = ws.x_[r] + 1.0 * ws.sol_[r];
-  }
-
-  // Iteration-2 stationarity at the stepped point, same H factorisation.
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto hr = problem.h.row(r);
-    double acc = 0.0;
-    for (std::size_t c2 = 0; c2 < n; ++c2) acc += hr[c2] * ws.fast_x_[c2];
-    ws.grad_[r] = acc + problem.g[r];
-  }
-  for (std::size_t r = 0; r < n; ++r) ws.rhs_[r] = -ws.grad_[r];
-  linalg::lu_solve_inplace(ws.fast_lu_.data(), n, n, ws.fast_piv_.data(),
-                           ws.rhs_.data(), ws.sol_.data());
-  double x_scale = 1.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    x_scale = std::max(x_scale, std::abs(ws.fast_x_[r]));
-  }
-  const double stat2 = options_.stationarity_tolerance * x_scale;
-  double p2_norm = 0.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    p2_norm = std::max(p2_norm, std::abs(ws.sol_[r]));
-  }
-  if (p2_norm > stat2) return false;
-
-  // Certified: the cold loop's iteration 2 converges here with an empty
-  // working set (no multipliers to check).
-  for (std::size_t r = 0; r < n; ++r) ws.x_[r] = ws.fast_x_[r];
-  ws.iterations_ = 2;
-  ws.fast_hit_ = true;
-  ws.path_ = QpSolvePath::kFastPath;
-  return true;
-}
-
 void QpSolver::solve(const QpProblem& problem, const linalg::Vector& x0,
                      QpWorkspace& ws,
                      const std::vector<std::size_t>* warm_start) const {
@@ -210,26 +101,10 @@ void QpSolver::solve(const QpProblem& problem, const linalg::Vector& x0,
   CAPGPU_REQUIRE(x0.size() == n, "start point dimension mismatch");
   CAPGPU_REQUIRE(is_feasible(problem, x0), "QP start point is infeasible");
   ws.ensure(n, m);
-  // Fast-path snapshot: when H's bits match the matrix behind the persistent
-  // factorisation, both the SPD check and the refactorisation are skipped —
-  // the identical matrix already passed and factored. Any mismatch
-  // invalidates the factor and runs the up-front SPD check as before.
-  // (The >= 2 guard keeps the tiers equivalent under a starved iteration
-  // budget: a fast-path certification stands in for up to two cold
-  // iterations, so it must only fire when the cold loop could afford them.)
-  const bool fast_enabled =
-      options_.fast_path && n > 0 && options_.max_iterations >= 2;
-  const bool snapshot_hit =
-      fast_enabled && ws.fast_valid_ && ws.fast_n_ == n &&
-      std::memcmp(ws.fast_h_.data(), problem.h.row(0).data(),
-                  n * n * sizeof(double)) == 0;
-  if (!snapshot_hit) {
-    ws.fast_valid_ = false;
-    // Verify H is SPD up front, as the Cholesky constructor would.
-    if (n > 0 && !linalg::cholesky_factor_inplace(problem.h.row(0).data(),
-                                                  ws.chol_.data(), n, n)) {
-      throw NumericalError("Cholesky: matrix is not positive definite");
-    }
+  // Verify H is SPD up front, as the Cholesky constructor would.
+  if (n > 0 && !linalg::cholesky_factor_inplace(problem.h.row(0).data(),
+                                                ws.chol_.data(), n, n)) {
+    throw NumericalError("Cholesky: matrix is not positive definite");
   }
 
   const double tol = options_.tolerance;
@@ -239,8 +114,6 @@ void QpSolver::solve(const QpProblem& problem, const linalg::Vector& x0,
   ws.active_set_.clear();
   ws.converged_ = false;
   ws.warm_hit_ = false;
-  ws.fast_hit_ = false;
-  ws.path_ = QpSolvePath::kColdActiveSet;
   ws.iterations_ = 0;
 
   const double* const xp = ws.x_.data().data();
@@ -291,21 +164,11 @@ void QpSolver::solve(const QpProblem& problem, const linalg::Vector& x0,
       if (certified) {
         ws.iterations_ = 1;
         ws.warm_hit_ = true;
-        ws.path_ = QpSolvePath::kWarmCertified;
         ws.active_set_.assign(ws.w_.begin(), ws.w_.end());
         finish(true);
         return;
       }
     }
-  }
-
-  // Analytic fast path (interior steady state): certify the unconstrained
-  // Newton step from the persistent H factorisation. A hit replicates the
-  // cold iteration bit for bit at ~two triangular solves instead of two LU
-  // factorisations plus the SPD check.
-  if (fast_enabled && try_fast_path(problem, ws)) {
-    finish(true);
-    return;
   }
 
   for (std::size_t iter = 0; iter < options_.max_iterations; ++iter) {

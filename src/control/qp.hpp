@@ -15,16 +15,12 @@
 // warm-starts from a previous active set — the controller's steady-state
 // path performs zero heap allocations per period.
 //
-// On top of the active-set iteration sit two certify-or-fallback shortcuts,
-// tried in order before the cold loop:
-//   1. warm start — the previous active set, accepted only if x0 proves
-//      stationary on it (clock-pinned steady state);
-//   2. analytic fast path — the unconstrained Newton step from a persistent
-//      LU factorisation of H, accepted only when the full step stays
-//      strictly feasible and lands stationary (interior steady state).
-// Both shortcuts replicate the cold iteration's arithmetic exactly, so a
-// hit returns the bitwise-identical solution the cold solve would have
-// produced — they change cost, never bits.
+// The warm start is certify-or-fallback: the previous active set is accepted
+// only if x0 proves stationary on it (clock-pinned steady state), and any
+// failed check runs the cold iteration unchanged. A hit returns the
+// bitwise-identical solution the cold solve would have produced, so the
+// warm start changes cost, never bits. This is the controller's only solve
+// path.
 #pragma once
 
 #include <cstddef>
@@ -33,13 +29,6 @@
 #include "linalg/matrix.hpp"
 
 namespace capgpu::control {
-
-/// Which tier produced the last workspace solve.
-enum class QpSolvePath {
-  kColdActiveSet,  ///< full active-set iteration (or fallback from a tier)
-  kWarmCertified,  ///< warm-start seed certified after one KKT solve
-  kFastPath,       ///< analytic unconstrained step certified in-interior
-};
 
 /// A QP instance. H must be symmetric positive definite.
 struct QpProblem {
@@ -75,12 +64,6 @@ class QpWorkspace {
   /// after a single KKT solve) instead of running the cold iteration.
   /// Distinguishes the shortcut from a genuine one-iteration cold solve.
   [[nodiscard]] bool warm_start_hit() const { return warm_hit_; }
-  /// True when the last solve certified the analytic unconstrained step
-  /// from the persistent Hessian factorisation (no active-set iteration,
-  /// no KKT factorisation beyond the cached one).
-  [[nodiscard]] bool fast_path_hit() const { return fast_hit_; }
-  /// Tier that produced the last solve.
-  [[nodiscard]] QpSolvePath path() const { return path_; }
   [[nodiscard]] const std::vector<std::size_t>& active_set() const {
     return active_set_;
   }
@@ -97,8 +80,6 @@ class QpWorkspace {
   std::size_t iterations_{0};
   bool converged_{false};
   bool warm_hit_{false};
-  bool fast_hit_{false};
-  QpSolvePath path_{QpSolvePath::kColdActiveSet};
   std::vector<std::size_t> active_set_;
   // Scratch: KKT system of dimension up to (n+m), stride n+m.
   std::vector<double> kkt_;
@@ -109,16 +90,6 @@ class QpWorkspace {
   std::vector<double> chol_;  // n*n SPD-check factor
   std::vector<char> active_;  // m flags
   std::vector<std::size_t> w_;  // working set
-  // Persistent fast-path factorisation: an LU of H keyed by a bitwise
-  // snapshot of the Hessian. Valid across solves (and periods) as long as
-  // H's bits do not change; the SPD check is skipped on a snapshot match
-  // because the exact same matrix already passed it.
-  std::vector<double> fast_h_;    // snapshot of H, fast_n_ x fast_n_
-  std::vector<double> fast_lu_;   // LU factor of the snapshot, stride fast_n_
-  std::vector<std::size_t> fast_piv_;
-  std::vector<double> fast_x_;    // candidate iterate x0 + p
-  std::size_t fast_n_{0};
-  bool fast_valid_{false};
 };
 
 /// Primal active-set QP solver.
@@ -133,10 +104,6 @@ class QpSolver {
     /// regularisation induces (~1e-10 * gradient scale), or the solver
     /// micro-steps forever instead of checking multipliers.
     double stationarity_tolerance{1e-7};
-    /// Enables the analytic unconstrained fast path (see the header
-    /// comment). Certify-or-fallback: disabling it never changes results,
-    /// only cost.
-    bool fast_path{true};
   };
 
   QpSolver() = default;
@@ -169,15 +136,6 @@ class QpSolver {
   /// One equality-constrained KKT solve on the working set ws.w_:
   /// fills ws.sol_ with [p; lambda] for the system at iterate ws.x_.
   void kkt_solve(const QpProblem& problem, QpWorkspace& ws) const;
-
-  /// Analytic unconstrained tier: Newton step from the persistent H
-  /// factorisation, accepted only when it replicates what the cold
-  /// iteration would do (full step, unblocked, stationary after the step).
-  /// On success ws holds the finished solve and true is returned; on any
-  /// failed check ws.x_ is untouched and the caller falls through to the
-  /// cold loop.
-  [[nodiscard]] bool try_fast_path(const QpProblem& problem,
-                                   QpWorkspace& ws) const;
 
   Options options_{};
 };

@@ -23,7 +23,6 @@ CapGpuController::CapGpuController(
     rls_.emplace(mpc_.model(), config.rls);
     excitation_watts_ = config.rls_excitation_watts;
   }
-  mpc_.enable_solve_cache(config.mpc_solve_cache);
   priorities_.assign(mpc_.device_count(), 1.0);
   const std::size_t n_cpu = baselines::cpu_count(mpc_.devices());
   for (const auto& [device, lm] : latency_models_) {
@@ -147,10 +146,7 @@ void CapGpuController::describe_flight(
   m.predicted_power_horizon_w = last_.predicted_power_horizon_watts;
   m.qp_iterations = last_.qp_iterations;
   m.qp_converged = last_.qp_converged;
-  m.cache_hit = last_.cache_hit;
   m.warm_start_hit = last_.warm_start_hit;
-  m.fast_path_hit = last_.fast_path_hit;
-  m.structured_hit = last_.structured_hit;
   m.qp_objective = last_.qp_objective;
   m.active_set_size = last_.active_set_size;
   m.floor_binding = last_.floor_binding;
@@ -173,7 +169,15 @@ baselines::ControlOutputs CapGpuController::control(
         df[j] = current_freqs_mhz[j] - prev_freqs_[j];
       }
       if (rls_->update(df, inputs.measured_power.value - *prev_power_)) {
-        mpc_.set_model(rls_->model());
+        // The estimator adapts only the gains; the prior's offset C was fit
+        // with the prior's gains and goes stale. Re-anchor p = A * F + C
+        // through the measured operating point. The MPC reads only the
+        // gains; absolute predictions (the batching governor's floor-power
+        // guard) need C.
+        const control::LinearPowerModel adapted = rls_->model();
+        mpc_.set_model(control::LinearPowerModel(
+            adapted.gains(), inputs.measured_power.value -
+                                 adapted.predict_delta(current_freqs_mhz)));
       }
     }
     prev_power_ = inputs.measured_power.value;
@@ -195,7 +199,7 @@ baselines::ControlOutputs CapGpuController::control(
   for (std::size_t j = 0; j < weighted.size(); ++j) {
     weighted[j] /= priorities_[j];
   }
-  mpc_.set_control_weights(assigner_.quantized(std::move(weighted)));
+  mpc_.set_control_weights(std::move(weighted));
   // PRBS excitation (adaptive mode): perturbing the measurement fed to the
   // MPC is equivalent to wiggling the tracking target, and keeps dF-rich
   // samples flowing to the estimator after the loop settles. set_point()

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -34,18 +35,13 @@ const char* failsafe_name(int state) {
   }
 }
 
-// Tier attribution for capgpu_ctl_solver_path_total. The tiers are mutually
-// exclusive in the controller; the most-specific-first ordering keeps
-// attribution deterministic even for hand-edited logs.
-constexpr const char* kSolverPathNames[5] = {"cache", "structured", "warm",
-                                             "fast", "cold"};
+// Solve-path attribution for capgpu_ctl_solver_path_total: a period either
+// certified the previous active set (warm) or ran the active-set iteration
+// (cold).
+constexpr const char* kSolverPathNames[2] = {"warm", "cold"};
 
 std::size_t solver_path_index(const FlightMpcState& m) {
-  if (m.cache_hit) return 0;
-  if (m.structured_hit) return 1;
-  if (m.warm_start_hit) return 2;
-  if (m.fast_path_hit) return 3;
-  return 4;
+  return m.warm_start_hit ? 0 : 1;
 }
 
 // --- JSONL rendering -------------------------------------------------------
@@ -143,6 +139,31 @@ class ObjectBuilder {
 };
 
 // --- JSON reading ----------------------------------------------------------
+// Flight logs are input from outside the process. Casting a negative,
+// fractional-out-of-range or non-finite double to an integer type is
+// undefined behaviour, so every integer field goes through checked_integer,
+// and a malformed log ends in a typed InvalidArgument, never a wild cast.
+
+/// Largest integer a double holds exactly; the bound for size fields.
+constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+
+double checked_integer(double x, double lo, double hi, const char* key) {
+  if (!(std::isfinite(x) && x == std::floor(x) && x >= lo && x <= hi)) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "flight record: '%s' = %.17g is not an integer in "
+                  "[%.17g, %.17g]",
+                  key, x, lo, hi);
+    throw InvalidArgument(buf);
+  }
+  return x;
+}
+
+int int_at(const json::Value& v, const char* key, double fallback,
+           double lo) {
+  return static_cast<int>(checked_integer(
+      v.number_or(key, fallback), lo, std::numeric_limits<int>::max(), key));
+}
 
 std::vector<double> numbers_at(const json::Value& v, const char* key) {
   std::vector<double> out;
@@ -159,7 +180,9 @@ std::vector<int> ints_at(const json::Value& v, const char* key) {
   const json::Array& arr = v.at(key).as_array();
   out.reserve(arr.size());
   for (const json::Value& e : arr) {
-    out.push_back(static_cast<int>(e.as_number()));
+    out.push_back(static_cast<int>(
+        checked_integer(e.as_number(), std::numeric_limits<int>::min(),
+                        std::numeric_limits<int>::max(), key)));
   }
   return out;
 }
@@ -169,7 +192,34 @@ bool bool_at(const json::Value& v, const char* key) {
 }
 
 std::size_t size_at(const json::Value& v, const char* key) {
-  return static_cast<std::size_t>(v.number_or(key, 0.0));
+  return static_cast<std::size_t>(
+      checked_integer(v.number_or(key, 0.0), 0.0, kMaxExactInteger, key));
+}
+
+/// Replay indexes every per-device array of an MPC block by device, so
+/// they must agree in length (weights may be empty: uniform default).
+void check_device_arrays(const FlightMpcState& m) {
+  const std::size_t n = m.gains_w_per_mhz.size();
+  const std::pair<const char*, std::size_t> sizes[] = {
+      {"f_min_mhz", m.f_min_mhz.size()},
+      {"f_max_mhz", m.f_max_mhz.size()},
+      {"f_lo_mhz", m.f_lo_mhz.size()},
+      {"f_hi_mhz", m.f_hi_mhz.size()},
+      {"device_kinds", m.device_kinds.size()},
+      {"deltas_mhz", m.deltas_mhz.size()},
+      {"predicted_latency_s", m.predicted_latency_s.size()},
+      {"floor_binding", m.floor_binding.size()},
+      {"ceiling_binding", m.ceiling_binding.size()},
+      {"weights", m.weights.empty() ? n : m.weights.size()},
+  };
+  for (const auto& [key, size] : sizes) {
+    if (size != n) {
+      throw InvalidArgument("flight record: mpc." + std::string(key) +
+                            " has " + std::to_string(size) +
+                            " entries, gains_w_per_mhz has " +
+                            std::to_string(n));
+    }
+  }
 }
 
 thread_local FlightRecorder* t_current_recorder = nullptr;
@@ -228,10 +278,7 @@ std::string FlightRecord::to_jsonl() const {
     m.nums("predicted_latency_s", mpc.predicted_latency_s);
     m.integer("qp_iterations", static_cast<long long>(mpc.qp_iterations));
     m.boolean("qp_converged", mpc.qp_converged);
-    m.boolean("cache_hit", mpc.cache_hit);
     m.boolean("warm_start_hit", mpc.warm_start_hit);
-    m.boolean("fast_path_hit", mpc.fast_path_hit);
-    m.boolean("structured_hit", mpc.structured_hit);
     m.num("qp_objective", mpc.qp_objective);
     m.integer("active_set_size", static_cast<long long>(mpc.active_set_size));
     m.ints("floor_binding", mpc.floor_binding);
@@ -244,7 +291,7 @@ std::string FlightRecord::to_jsonl() const {
 
 FlightRecord FlightRecord::from_json(const json::Value& v) {
   FlightRecord rec;
-  rec.pid = static_cast<int>(v.number_or("pid", 0.0));
+  rec.pid = int_at(v, "pid", 0.0, 0.0);
   rec.period = size_at(v, "period");
   rec.t_s = v.number_or("t_s", 0.0);
   rec.policy = v.string_or("policy", "");
@@ -253,7 +300,8 @@ FlightRecord FlightRecord::from_json(const json::Value& v) {
   rec.error_w = v.number_or("error_w", 0.0);
   rec.held = bool_at(v, "held");
   rec.hold_reason = v.string_or("hold_reason", "");
-  rec.failsafe_state = static_cast<int>(v.number_or("failsafe_state", -1.0));
+  rec.failsafe_state = int_at(v, "failsafe_state", -1.0,
+                              std::numeric_limits<int>::min());
   rec.failsafe_cause = v.string_or("failsafe_cause", "");
   rec.freqs_mhz = numbers_at(v, "freqs_mhz");
   rec.targets_mhz = numbers_at(v, "targets_mhz");
@@ -290,16 +338,12 @@ FlightRecord FlightRecord::from_json(const json::Value& v) {
     mpc.predicted_latency_s = numbers_at(m, "predicted_latency_s");
     mpc.qp_iterations = size_at(m, "qp_iterations");
     mpc.qp_converged = bool_at(m, "qp_converged");
-    mpc.cache_hit = bool_at(m, "cache_hit");
     mpc.warm_start_hit = bool_at(m, "warm_start_hit");
-    // Absent in logs recorded before the tiered solve: default false, which
-    // replays as a plain active-set solve (the tiers are bitwise-neutral).
-    mpc.fast_path_hit = bool_at(m, "fast_path_hit");
-    mpc.structured_hit = bool_at(m, "structured_hit");
     mpc.qp_objective = m.number_or("qp_objective", 0.0);
     mpc.active_set_size = size_at(m, "active_set_size");
     mpc.floor_binding = ints_at(m, "floor_binding");
     mpc.ceiling_binding = ints_at(m, "ceiling_binding");
+    check_device_arrays(mpc);
   }
   return rec;
 }
@@ -445,7 +489,7 @@ void FlightRecorder::finalize(FlightRecord& prev, const FlightRecord* next) {
     const std::size_t path_idx = solver_path_index(prev.mpc);
     if (h.path_counters[path_idx] == nullptr) {
       h.path_counters[path_idx] = &registry.counter(
-          metric::kCtlSolverPath, "Acted periods by control-solve tier",
+          metric::kCtlSolverPath, "Acted periods by control-solve path",
           {{"policy", prev.policy}, {"path", kSolverPathNames[path_idx]}});
     }
     h.path_counters[path_idx]->inc();

@@ -47,8 +47,8 @@ struct FlightMpcState {
   // Identified difference model dp = A * dF + C at this period (post-RLS).
   std::vector<double> gains_w_per_mhz;
   double offset_w{0.0};
-  /// Control-penalty weights as handed to the MPC (post EMA smoothing,
-  /// priority division and quantization).
+  /// Control-penalty weights as handed to the MPC (post EMA smoothing and
+  /// priority division).
   std::vector<double> weights;
   std::vector<double> f_min_mhz;  ///< effective floors (SLO bounds applied)
   std::vector<double> f_max_mhz;  ///< effective ceilings (thermal applied)
@@ -71,14 +71,7 @@ struct FlightMpcState {
   // QP diagnostics.
   std::size_t qp_iterations{0};
   bool qp_converged{false};
-  bool cache_hit{false};
   bool warm_start_hit{false};
-  /// QP solver's analytic fast path certified (bitwise equal to the
-  /// active-set solve it replaced).
-  bool fast_path_hit{false};
-  /// Structured banded/Woodbury tier certified (equal to the active-set
-  /// optimum to solver tolerance; replay re-enables the tier to match).
-  bool structured_hit{false};
   double qp_objective{0.0};
   std::size_t active_set_size{0};
   std::vector<int> floor_binding;    ///< per device, first-move floor active
@@ -209,9 +202,8 @@ class FlightRecorder {
     Gauge* power_ewma_gauge{nullptr};
     LogLinearHistogram* power_err_hist{nullptr};
     LogLinearHistogram* qp_iter_hist{nullptr};
-    /// capgpu_ctl_solver_path_total, one handle per tier in the order
-    /// cache / structured / warm / fast / cold (see solver_path_index).
-    Counter* path_counters[5]{};
+    /// capgpu_ctl_solver_path_total, one handle per path: warm, cold.
+    Counter* path_counters[2]{};
     Counter* floor_periods_counter{nullptr};
     Counter* ceiling_periods_counter{nullptr};
     Gauge* floor_fraction_gauge{nullptr};

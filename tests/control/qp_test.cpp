@@ -137,6 +137,29 @@ TEST(Qp, RedundantConstraintsHandled) {
   EXPECT_NEAR(sol.x[0], 0.0, 1e-7);
 }
 
+TEST(Qp, RespectsIterationBudget) {
+  // One iteration takes the Newton step to the interior optimum but leaves
+  // no budget to confirm stationarity there: the solve must report the
+  // stepped point as not converged. A second iteration confirms it.
+  QpProblem p = unconstrained(Matrix{{2, 0}, {0, 4}}, Vector{-2.0, -8.0});
+  add_box(p, Vector{-100.0, -100.0}, Vector{100.0, 100.0});
+  QpSolver::Options budget;
+  budget.max_iterations = 1;
+  const QpSolution starved = QpSolver(budget).solve(p, Vector(2));
+  EXPECT_FALSE(starved.converged);
+  EXPECT_EQ(starved.iterations, 1u);
+  EXPECT_NEAR(starved.x[0], 1.0, 1e-12);
+  EXPECT_NEAR(starved.x[1], 2.0, 1e-12);
+
+  budget.max_iterations = 2;
+  const QpSolution enough = QpSolver(budget).solve(p, Vector(2));
+  EXPECT_TRUE(enough.converged);
+  EXPECT_EQ(enough.iterations, 2u);
+  EXPECT_EQ(enough.x[0], starved.x[0]);
+  EXPECT_EQ(enough.x[1], starved.x[1]);
+  EXPECT_TRUE(enough.active_set.empty());
+}
+
 TEST(Qp, IsFeasibleHelper) {
   QpProblem p = unconstrained(Matrix{{1}}, Vector{0.0});
   add_box(p, Vector{0.0}, Vector{1.0});

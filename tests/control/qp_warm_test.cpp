@@ -101,6 +101,27 @@ TEST(QpWarm, SteadyStateCertifiesInOneKktSolve) {
   EXPECT_EQ(ws.active_set(), cold.active_set);
 }
 
+TEST(QpWarm, RailedSeedReportsWarmStartHit) {
+  // Railed steady state: the seeded solve certifies and reports the warm
+  // hit the flight recorder and replay tool read; an unseeded solve of the
+  // same QP must not.
+  QpProblem p;
+  p.h = Matrix{{2.0}};
+  p.g = Vector{4.0};
+  p.c = Matrix(1, 1);
+  p.c(0, 0) = -1.0;
+  p.b = Vector{0.0};
+  QpSolver solver;
+  const std::vector<std::size_t> seed = {0};
+  QpWorkspace ws;
+  solver.solve(p, Vector{0.0}, ws);
+  EXPECT_FALSE(ws.warm_start_hit());  // no seed: the cold iteration ran
+  solver.solve(p, Vector{0.0}, ws, &seed);
+  EXPECT_TRUE(ws.converged());
+  EXPECT_TRUE(ws.warm_start_hit());
+  EXPECT_EQ(ws.x()[0], 0.0);
+}
+
 TEST(QpWarm, GarbageWarmSetCannotChangeTheSolution) {
   capgpu::Rng rng(37);
   QpSolver solver;
@@ -153,6 +174,65 @@ TEST(QpWarm, MpcWarmStateMatchesStatelessControllerBitwise) {
     ASSERT_EQ(warm.predicted_power_watts, cold.predicted_power_watts);
     f = warm.target_freqs_mhz;
     f_fresh = cold.target_freqs_mhz;
+  }
+}
+
+/// Four-device controller shared by the churn tests below.
+std::vector<DeviceRange> server_devices() {
+  return {
+      {DeviceKind::kCpu, 1000.0, 2400.0},
+      {DeviceKind::kGpu, 435.0, 1350.0},
+      {DeviceKind::kGpu, 435.0, 1350.0},
+      {DeviceKind::kGpu, 435.0, 1350.0},
+  };
+}
+
+TEST(QpWarm, MpcWarmStateMatchesAcrossWeightChanges) {
+  // Weight churn every period (the CapGPU pattern) changes the Hessian
+  // under the warm seed; the seeded controller must still command the bits
+  // of one rebuilt from scratch each period.
+  const LinearPowerModel plant({0.05, 0.21, 0.21, 0.21}, 300.0);
+  MpcController persistent(MpcConfig{}, server_devices(), plant, 900_W);
+  capgpu::Rng rng(11);
+  std::vector<double> f{1200.0, 700.0, 750.0, 800.0};
+  for (int k = 0; k < 60; ++k) {
+    std::vector<double> w(4);
+    for (auto& x : w) x = rng.uniform(1e-5, 1e-4);
+    const Watts p{rng.uniform(700.0, 1100.0)};
+    persistent.set_control_weights(w);
+    const MpcDecision warm = persistent.step(p, f);
+    MpcController stateless(MpcConfig{}, server_devices(), plant, 900_W);
+    stateless.set_control_weights(w);
+    const MpcDecision& cold = stateless.step(p, f);
+    for (std::size_t j = 0; j < 4; ++j) {
+      ASSERT_EQ(warm.target_freqs_mhz[j], cold.target_freqs_mhz[j])
+          << "period " << k << " device " << j;
+    }
+    f = warm.target_freqs_mhz;
+  }
+}
+
+TEST(QpWarm, MpcWarmStateMatchesAcrossSloBoundChanges) {
+  // An SLO floor appears and later clears: the constraint box moves under
+  // the warm seed, and the seeded controller must still match a stateless
+  // one bit for bit on both edges.
+  const LinearPowerModel plant({0.05, 0.21, 0.21, 0.21}, 300.0);
+  MpcController persistent(MpcConfig{}, server_devices(), plant, 900_W);
+  std::vector<double> f{1200.0, 700.0, 750.0, 800.0};
+  for (int k = 0; k < 40; ++k) {
+    const bool floor_on = k >= 10 && k < 25;
+    if (k == 10) (void)persistent.set_min_frequency_override(1, 900.0);
+    if (k == 25) persistent.clear_min_frequency_overrides();
+    const Watts p = plant.predict(f);
+    const MpcDecision warm = persistent.step(p, f);
+    MpcController stateless(MpcConfig{}, server_devices(), plant, 900_W);
+    if (floor_on) (void)stateless.set_min_frequency_override(1, 900.0);
+    const MpcDecision& cold = stateless.step(p, f);
+    for (std::size_t j = 0; j < 4; ++j) {
+      ASSERT_EQ(warm.target_freqs_mhz[j], cold.target_freqs_mhz[j])
+          << "period " << k << " device " << j;
+    }
+    f = warm.target_freqs_mhz;
   }
 }
 

@@ -105,7 +105,7 @@ TEST(ControlAllocations, SteadyStateStepIsAllocationFree) {
 TEST(ControlAllocations, DisturbedPeriodsStayAllocationFree) {
   // Power-measurement disturbances change the QP's right-hand side and can
   // flip the active set, driving full cold active-set iterations — those
-  // must be allocation-free too, not just the warm-certified fast path.
+  // must be allocation-free too, not just the warm-certified solves.
   const LinearPowerModel plant({0.05, 0.21, 0.21}, 300.0);
   MpcController ctrl = make_controller(plant);
 

@@ -10,8 +10,13 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/rng.hpp"
 #include "telemetry/metric_names.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -39,7 +44,12 @@ TEST(FlightRecord, JsonlRoundTripIsBitExact) {
   rec.mpc.gains_w_per_mhz = {0.123456789012345678, 0.2, 0.3};
   rec.mpc.offset_w = 123.45678901234567;
   rec.mpc.f_min_mhz = {1000.0, 544.44444444444446, 435.0};
+  rec.mpc.f_max_mhz = {2400.0, 1350.0, 1249.9999999999998};
+  rec.mpc.f_lo_mhz = {1000.0, 435.0, 435.0};
+  rec.mpc.f_hi_mhz = {2400.0, 1350.0, 1350.0};
   rec.mpc.device_kinds = {0, 1, 1};
+  rec.mpc.deltas_mhz = {0.0, -3.25, 1e-3};
+  rec.mpc.predicted_latency_s = {0.0, 0.41, 0.43};
   rec.mpc.prediction_horizon = 8;
   rec.mpc.control_horizon = 2;
   rec.mpc.regularization = 1e-9;
@@ -312,6 +322,223 @@ TEST(FlightRecorder, WriteJsonlEmitsOneLinePerRecord) {
     EXPECT_EQ(back.period, k);
     ++pos;  // newline
   }
+}
+
+// --- Hostile flight logs ----------------------------------------------------
+// A flight log is input from outside the process. Every malformed line must
+// either parse or end in a typed capgpu::Error: an untyped exception fails
+// the test, and an undefined cast trips the sanitizer builds.
+
+// One acted CapGPU period (900 W set point) recorded by
+// `bench_fig6_setpoint_sweep --flight-out`; the seed of the mutations below.
+const std::string kGoldenLine =
+    R"({"pid":6,"period":19,"t_s":80,"policy":"capgpu",)"
+    R"("measured_power_w":895.46326809646189,"set_point_w":900,)"
+    R"("error_w":-4.5367319035381115,"held":0,"hold_reason":"",)"
+    R"("failsafe_state":-1,"failsafe_cause":"",)"
+    R"("freqs_mhz":[1091.0918377265284,925.67885073018772,)"
+    R"(881.48254326416418,968.18813048675474],)"
+    R"("targets_mhz":[1092.1995054914835,928.07761135566113,)"
+    R"(886.04890454506017,972.25160141659421],)"
+    R"("utilization":[0.94999999999999996,0.90000000000000002,)"
+    R"(0.81999999999999995,0.96999999999999997],)"
+    R"("normalized_throughput":[0.45833333333333343,0.69999999999999996,)"
+    R"(0.68750000000000011,0.73125000000000007],"outcome_filled":1,)"
+    R"("realized_power_w":899.39467295954569,)"
+    R"("power_residual_w":1.7319117390708243,"realized_latency_s":[0,)"
+    R"(0.4907796204084135,0.8152873323461941,0.61142342783567105],)"
+    R"("latency_residual_s":[0,-0.0026132425421179217,0.0046587041432833987,)"
+    R"(0.002457678485108139],"mpc":{"fed_power_w":895.46326809646189,)"
+    R"("gains_w_per_mhz":[0.052929853342459331,0.19543831967743616,)"
+    R"(0.18305843726918633,0.20577081516280499],)"
+    R"("offset_w":298.15684778552026,"weights":[3.9538478797453724e-05,)"
+    R"(2.7298726162227803e-05,2.7952070384038237e-05,)"
+    R"(2.6378734786360213e-05],"f_min_mhz":[1000,435,435,435],)"
+    R"("f_max_mhz":[2400,1350,1350,1350],"f_lo_mhz":[1000,435,435,435],)"
+    R"("f_hi_mhz":[2400,1350,1350,1350],"device_kinds":[0,1,1,1],)"
+    R"("prediction_horizon":8,"control_horizon":2,"tracking_weight":1,)"
+    R"("reference_decay":0.5,"violation_decay":0,)"
+    R"("regularization":1.0000000000000001e-09,)"
+    R"("deltas_mhz":[1.1076677649550153,2.3987606254734635,)"
+    R"(4.5663612808959373,4.063470929839518],)"
+    R"("planned_deltas_mhz":[1.1076677649550153,2.3987606254734635,)"
+    R"(4.5663612808959373,4.063470929839518,0.62826671833626357,)"
+    R"(3.3597951686064196,3.0735034243742341,3.6608428490127496],)"
+    R"("predicted_power_w":897.66276122047486,)"
+    R"("predicted_power_horizon_w":[897.66276122047486,899.66857335898089,)"
+    R"(899.66857335898089,899.66857335898089,899.66857335898089,)"
+    R"(899.66857335898089,899.66857335898089,899.66857335898089],)"
+    R"("predicted_latency_s":[0,0.49223224995813286,0.80682606184592798,)"
+    R"(0.60664923739625431],"qp_iterations":2,"qp_converged":1,)"
+    R"("warm_start_hit":0,"qp_objective":-128.63537031590405,)"
+    R"("active_set_size":0,"floor_binding":[0,0,0,0],"ceiling_binding":[0,0,)"
+    R"(0,0]}})";
+
+/// True when `line` parses; false when the reader rejects it with a typed
+/// capgpu::Error. Any other exception escapes and fails the calling test.
+bool parses_or_typed_error(const std::string& line) {
+  try {
+    const FlightRecord rec = FlightRecord::from_json(json::parse(line));
+    (void)rec.to_jsonl();
+    return true;
+  } catch (const capgpu::Error&) {
+    return false;
+  }
+}
+
+/// Half-open [begin, end) spans of the line's number tokens.
+std::vector<std::pair<std::size_t, std::size_t>> number_spans(
+    const std::string& line) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  for (std::size_t i = 1; i < line.size(); ++i) {
+    const char prev = line[i - 1];
+    const char c = line[i];
+    if ((prev != ':' && prev != ',' && prev != '[') ||
+        !(c == '-' || (c >= '0' && c <= '9'))) {
+      continue;
+    }
+    std::size_t end = i + 1;
+    while (end < line.size() &&
+           std::string("0123456789+-.eE").find(line[end]) !=
+               std::string::npos) {
+      ++end;
+    }
+    spans.emplace_back(i, end);
+    i = end - 1;
+  }
+  return spans;
+}
+
+/// `line` with the scalar or flat-array value of `"key":` replaced.
+std::string with_value(const std::string& line, const std::string& key,
+                       const std::string& value) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no key " << key;
+    return line;
+  }
+  const std::size_t begin = at + tag.size();
+  const std::size_t end = line[begin] == '['
+                              ? line.find(']', begin) + 1
+                              : line.find_first_of(",}", begin);
+  return line.substr(0, begin) + value + line.substr(end);
+}
+
+/// `line` with the last element of the array at `"key":` dropped.
+std::string truncated(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":[";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no array " << key;
+    return line;
+  }
+  const std::size_t close = line.find(']', at);
+  const std::size_t open = at + tag.size() - 1;
+  const std::size_t comma = line.rfind(',', close);
+  const std::size_t cut = comma != std::string::npos && comma > open
+                              ? comma
+                              : open + 1;
+  return line.substr(0, cut) + line.substr(close);
+}
+
+TEST(FlightRecordHostile, GoldenLineRoundTrips) {
+  const FlightRecord rec = FlightRecord::from_json(json::parse(kGoldenLine));
+  ASSERT_TRUE(rec.mpc.present);
+  EXPECT_EQ(rec.to_jsonl(), kGoldenLine);
+}
+
+TEST(FlightRecordHostile, NonIntegerCountsThrowTypedErrors) {
+  const std::vector<std::string> counts = {
+      "pid", "period", "prediction_horizon", "control_horizon",
+      "qp_iterations", "active_set_size"};
+  const std::vector<std::string> bad = {"-1", "2.5", "1e300", "-1e300",
+                                        "1e400", "9007199254740994"};
+  for (const std::string& key : counts) {
+    for (const std::string& value : bad) {
+      EXPECT_THROW((void)FlightRecord::from_json(
+                       json::parse(with_value(kGoldenLine, key, value))),
+                   capgpu::InvalidArgument)
+          << key << " = " << value;
+    }
+    EXPECT_TRUE(parses_or_typed_error(with_value(kGoldenLine, key, "7")))
+        << key;
+  }
+  // failsafe_state is an int whose "unhardened" value is -1.
+  EXPECT_TRUE(
+      parses_or_typed_error(with_value(kGoldenLine, "failsafe_state", "-1")));
+  for (const char* value : {"2.5", "1e300", "-1e300", "1e400"}) {
+    EXPECT_THROW((void)FlightRecord::from_json(json::parse(
+                     with_value(kGoldenLine, "failsafe_state", value))),
+                 capgpu::InvalidArgument)
+        << value;
+  }
+}
+
+TEST(FlightRecordHostile, NonIntegerArrayEntriesThrowTypedErrors) {
+  for (const char* key :
+       {"device_kinds", "floor_binding", "ceiling_binding"}) {
+    for (const char* value : {"[0,2.5,1,1]", "[0,1e300,1,1]",
+                                     "[0,1,1,-1e300]"}) {
+      EXPECT_THROW((void)FlightRecord::from_json(
+                       json::parse(with_value(kGoldenLine, key, value))),
+                   capgpu::InvalidArgument)
+          << key << " = " << value;
+    }
+  }
+}
+
+TEST(FlightRecordHostile, TruncatedPerDeviceArraysThrowTypedErrors) {
+  for (const char* key :
+       {"gains_w_per_mhz", "weights", "f_min_mhz", "f_max_mhz", "f_lo_mhz",
+        "f_hi_mhz", "device_kinds", "deltas_mhz", "predicted_latency_s",
+        "floor_binding", "ceiling_binding"}) {
+    EXPECT_THROW((void)FlightRecord::from_json(
+                     json::parse(truncated(kGoldenLine, key))),
+                 capgpu::InvalidArgument)
+        << key;
+  }
+  // Empty weights mean the controller's uniform default.
+  const FlightRecord uniform = FlightRecord::from_json(
+      json::parse(with_value(kGoldenLine, "weights", "[]")));
+  EXPECT_TRUE(uniform.mpc.weights.empty());
+}
+
+TEST(FlightRecordHostile, SeededMutationsParseOrThrowTyped) {
+  const std::vector<std::pair<std::size_t, std::size_t>> spans =
+      number_spans(kGoldenLine);
+  ASSERT_GT(spans.size(), 50u);
+  const std::vector<std::string> values = {
+      "-1", "2.5", "1e300", "-1e300", "1e400", "-0", "0",
+      "4294967296", "9007199254740993", "2147483648"};
+  capgpu::Rng rng(2026);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string line = kGoldenLine;
+    const int edits = 1 + static_cast<int>(rng.uniform_index(3));
+    for (int e = 0; e < edits; ++e) {
+      const auto mutated_spans = number_spans(line);
+      const auto [begin, end] =
+          mutated_spans[rng.uniform_index(mutated_spans.size())];
+      if (rng.uniform() < 0.25) {
+        // Drop the token together with one adjacent comma, truncating its
+        // array (or leaving a dangling key the JSON parser rejects).
+        const bool comma_after = end < line.size() && line[end] == ',';
+        const bool comma_before = line[begin - 1] == ',';
+        const std::size_t cut = comma_before && !comma_after ? begin - 1
+                                                              : begin;
+        line = line.substr(0, cut) + line.substr(comma_after ? end + 1 : end);
+      } else {
+        line = line.substr(0, begin) +
+               values[rng.uniform_index(values.size())] + line.substr(end);
+      }
+    }
+    ++(parses_or_typed_error(line) ? parsed : rejected);
+  }
+  // The mutations exercise both outcomes.
+  EXPECT_GT(parsed, 50u);
+  EXPECT_GT(rejected, 50u);
 }
 
 }  // namespace

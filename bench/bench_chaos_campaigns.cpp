@@ -152,20 +152,20 @@ int main(int argc, char** argv) {
   // telemetry (and the resilience entries) in scenario order, so the
   // scorecard is byte-identical for any --jobs count.
   runner::ScenarioRunner sr({bench::jobs()});
-  const std::vector<faults::CampaignResult> outcomes =
+  const std::vector<fleet::CampaignResult> outcomes =
       sr.map(2, [&](std::size_t idx) {
-        return faults::run_campaign(cfg, /*health_managed=*/idx == 1);
+        return fleet::run_campaign(cfg, /*health_managed=*/idx == 1);
       });
 
   telemetry::Table t("campaign '" + cfg.name + "': baseline vs hardened");
   t.set_header({"Variant", "rack W", "images", "burn", "fs entries",
                 "health transitions"});
   for (const auto& o : outcomes) {
-    t.add_row({o.variant, telemetry::fmt(o.mean_rack_power_w, 1),
-               telemetry::fmt(o.rack_images, 0),
-               telemetry::fmt(o.total_burn, 4),
-               telemetry::fmt(static_cast<double>(o.failsafe_engagements), 0),
-               telemetry::fmt(static_cast<double>(o.health_transitions), 0)});
+    t.add_row(
+        {o.variant, telemetry::fmt(o.run.mean_power_w, 1),
+         telemetry::fmt(o.run.images, 0), telemetry::fmt(o.total_burn, 4),
+         telemetry::fmt(static_cast<double>(o.run.failsafe_engagements), 0),
+         telemetry::fmt(static_cast<double>(o.run.health_log.size()), 0)});
   }
   t.print();
 
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
       fleet_cfg.rack_budget_w *
           static_cast<double>(fleet_cfg.topology.total_racks()),
       fleet_cfg.periods, fleet_cfg.period_s);
-  const fleet::FleetCampaignResult fleet_outcome =
+  const fleet::CampaignResult fleet_outcome =
       fleet::run_fleet_campaign(fleet_cfg, {fleet_shards, bench::jobs()});
 
   telemetry::Table st("per-stage resilience scorecard");

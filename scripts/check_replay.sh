@@ -41,4 +41,20 @@ grep -q "counterfactual. cap=800" "$tmp/cf.txt" \
 grep -q "counterfactual. horizon=4" "$tmp/cf.txt" \
   || { echo "FAIL: horizon counterfactual missing from output"; exit 1; }
 
+# Hostile horizons end in an input error (exit 2) at once, never a
+# runaway solve: a recorded line rewritten to a 4e9-step horizon, and a
+# counterfactual horizon past the controller's bound.
+grep -m 1 '"prediction_horizon":' "$tmp/flight.jsonl" \
+  | sed 's/"prediction_horizon":[0-9]*/"prediction_horizon":4000000000/' \
+  > "$tmp/huge.jsonl"
+rc=0
+timeout 10 "$REPLAY" "$tmp/huge.jsonl" > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] \
+  || { echo "FAIL: a 4e9-step recorded horizon exited $rc, not 2"; exit 1; }
+rc=0
+timeout 10 "$REPLAY" "$tmp/flight.jsonl" \
+  --counterfactual horizon=4000000000 > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] \
+  || { echo "FAIL: a 4e9-step counterfactual exited $rc, not 2"; exit 1; }
+
 echo "replay smoke: PASS"

@@ -1,5 +1,7 @@
 #include "common/json.hpp"
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -60,6 +62,18 @@ std::string Value::string_or(const std::string& key,
   if (!contains(key)) return fallback;
   const Value& v = object_->at(key);
   return v.type() == Type::kString ? v.as_string() : fallback;
+}
+
+double checked_integer(double x, double lo, double hi, const char* context,
+                       const char* key) {
+  if (!(std::isfinite(x) && x == std::floor(x) && x >= lo && x <= hi)) {
+    char buf[192];
+    std::snprintf(buf, sizeof(buf),
+                  "%s: '%s' = %.17g is not an integer in [%.17g, %.17g]",
+                  context, key, x, lo, hi);
+    throw InvalidArgument(buf);
+  }
+  return x;
 }
 
 namespace {

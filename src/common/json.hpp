@@ -62,6 +62,17 @@ class Value {
   std::shared_ptr<Object> object_;
 };
 
+/// Largest integer a double holds exactly; the bound for size fields.
+inline constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+
+/// Returns `x` when it is a finite integer in [lo, hi], so casting it to
+/// an integer type is defined; otherwise throws InvalidArgument
+/// "<context>: '<key>' = x is not an integer in [lo, hi]". Readers of
+/// documents from outside the process route every integer field through
+/// here: casting a negative, out-of-range or non-finite double is UB.
+[[nodiscard]] double checked_integer(double x, double lo, double hi,
+                                     const char* context, const char* key);
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 [[nodiscard]] Value parse(const std::string& text);
 

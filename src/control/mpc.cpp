@@ -20,6 +20,10 @@ MpcController::MpcController(MpcConfig config, std::vector<DeviceRange> devices,
   CAPGPU_REQUIRE(config_.control_horizon >= 1, "control horizon must be >= 1");
   CAPGPU_REQUIRE(config_.prediction_horizon >= config_.control_horizon,
                  "prediction horizon must be >= control horizon");
+  CAPGPU_REQUIRE(config_.control_horizon <= kMaxControlHorizon,
+                 "control horizon exceeds kMaxControlHorizon");
+  CAPGPU_REQUIRE(config_.prediction_horizon <= kMaxPredictionHorizon,
+                 "prediction horizon exceeds kMaxPredictionHorizon");
   CAPGPU_REQUIRE(config_.tracking_weight > 0.0,
                  "tracking weight must be positive");
   CAPGPU_REQUIRE(config_.reference_decay >= 0.0 && config_.reference_decay < 1.0,

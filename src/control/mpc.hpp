@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "control/horizon.hpp"
 #include "control/power_model.hpp"
 #include "control/qp.hpp"
 #include "linalg/matrix.hpp"
@@ -37,8 +38,8 @@ struct DeviceRange {
 
 /// Controller configuration (defaults follow the paper: P=8, M=2).
 struct MpcConfig {
-  std::size_t prediction_horizon{8};  ///< P
-  std::size_t control_horizon{2};     ///< M
+  std::size_t prediction_horizon{8};  ///< P, at most kMaxPredictionHorizon
+  std::size_t control_horizon{2};     ///< M, at most kMaxControlHorizon
   /// Tracking-error weight Q(i) (uniform across the horizon). The control
   /// penalty weights R_j come from WeightAssigner via set_control_weights;
   /// keep Q * gain^2 >> R_j so power tracking dominates.

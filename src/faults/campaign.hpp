@@ -1,20 +1,12 @@
-// Declarative chaos campaigns with resilience scoring.
+// Declarative chaos campaign documents.
 //
-// A campaign is a staged fault timeline over a rack of CapGPU-capped rigs:
-// a JSON document names the domain topology, the workload shape, the
-// coordinator's health-management knobs, and a list of stages, each
+// A campaign is a staged fault timeline over CapGPU-capped rigs: a JSON
+// document names the domain topology, the workload shape, the
+// coordinators' health-management knobs, and a list of stages, each
 // attaching one scripted fault (faults::DomainFault) to one domain node.
-// run_campaign() assembles the rack — one single-GPU rig per leaf of the
-// DomainTree, each driven by its own hardened control loop — executes the
-// timeline as engine events, and scores every stage into a
-// telemetry::ResilienceEntry (MTTR, SLO error-budget burned during and
-// after the fault, recovery overshoot, fail-safe dwell), pushed into
-// ResilienceRegistry::current() so --resilience-out renders the scorecard.
-//
-// The A/B the acceptance test cares about: the same campaign run with
-// coordinator health management on (`health_managed = true`) must burn
-// strictly less error budget than with it off — quarantining dark rigs at
-// their minimum frees budget for the healthy, burning ones.
+// This header parses and validates the document; fleet/campaign.hpp runs
+// it on one rack (fleet::run_campaign) or on a FleetSim
+// (fleet::run_fleet_campaign) and scores both with one scorer.
 #pragma once
 
 #include <cstddef>
@@ -25,9 +17,14 @@
 #include "faults/domain_tree.hpp"
 #include "rack/allocation.hpp"
 #include "rack/coordinator.hpp"
-#include "telemetry/resilience.hpp"
 
 namespace capgpu::faults {
+
+/// Upper bounds a campaign document may ask for: each rig is a full
+/// simulated server, and a run steps every rig through every period.
+inline constexpr std::size_t kMaxCampaignRigs = 4096;
+inline constexpr std::size_t kMaxCampaignPeriods = 100000;
+inline constexpr double kMaxCampaignPeriodS = 60.0;
 
 /// One stage of the campaign timeline: a named fault on a domain node.
 struct CampaignStage {
@@ -56,7 +53,7 @@ struct CampaignConfig {
   /// so a quarantined rig's pinned budget is watts it actually stops using.
   rack::AllocationBounds bounds{500.0, 650.0};
   /// Health-management knobs; `enabled` is overridden by the
-  /// `health_managed` argument of run_campaign().
+  /// `health_managed` argument of fleet::run_campaign().
   rack::RigHealthConfig health{};
   std::vector<CampaignStage> stages;
 };
@@ -68,26 +65,5 @@ struct CampaignConfig {
 
 /// Checks the config's domain; throws InvalidArgument naming the field.
 [[nodiscard]] CampaignConfig validated(CampaignConfig config);
-
-/// Aggregate outcome of one campaign run (per-stage scorecards land in
-/// telemetry::ResilienceRegistry::current()).
-struct CampaignResult {
-  std::string variant;  ///< "hardened" or "baseline"
-  /// Lifetime error-budget fraction consumed, summed misses over summed
-  /// checks across every rig: (miss rate) / (1 - objective).
-  double total_burn{0.0};
-  double mean_rack_power_w{0.0};
-  double rack_images{0.0};  ///< images completed across all rigs
-  std::size_t failsafe_engagements{0};
-  std::size_t health_transitions{0};
-  std::vector<telemetry::ResilienceEntry> stages;  ///< copy of the entries
-};
-
-/// Runs the campaign once. `health_managed` switches the coordinator's
-/// rig-health layer (the control loops are always hardened — the A/B
-/// isolates the coordinator's contribution). Scorecards are appended to
-/// ResilienceRegistry::current() with variant "hardened" / "baseline".
-[[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config,
-                                          bool health_managed);
 
 }  // namespace capgpu::faults

@@ -82,9 +82,17 @@ struct DomainFault {
   [[nodiscard]] double end_s() const { return start_s + duration_s; }
 };
 
-/// A window during which the deliverable rack budget is scaled. Produced
-/// by brownout and budget_slash faults; the campaign runner multiplies
-/// every active scale into the coordinator's rack budget.
+/// A window during which a feed delivers only `scale` of its watts,
+/// produced by brownout and budget_slash faults. One budget rule per
+/// campaign driver consumes it (fleet/campaign.hpp; one scorer for both):
+///   rack   fleet::run_campaign scales its one rack budget by
+///          budget_scale(now), every active event wherever attached;
+///   fleet  FleetSim applies each event at its own node (node_scale), so
+///          a PDU brownout derates only that PDU's rigs' ceilings.
+/// They stay apart: as a one-rack FleetSim the reference PDU brownout
+/// derates its rigs 650 -> 572 W, both A/B variants burn 19.80 during the
+/// fault (rack rule: 26.21 baseline, 24.39 hardened), and the hardened
+/// variant no longer burns less in total.
 struct BudgetEvent {
   double start_s{0.0};
   double end_s{0.0};
@@ -131,15 +139,12 @@ class DomainTree {
   }
 
   /// Product of every budget event's scale active at `now` (1.0 when the
-  /// feed is clean).
+  /// feed is clean): the rack rule.
   [[nodiscard]] double budget_scale(double now) const;
 
   /// Product of the scales of budget events attached to exactly `node`
-  /// (not its descendants) active at `now`. The fleet cascade applies each
-  /// feed degradation at its own tier — a row brownout shrinks the row's
-  /// deliverable watts, a PDU brownout shrinks only its rigs' ceilings —
-  /// instead of folding every event into one rack-level scale the way
-  /// budget_scale() does. Validates the path.
+  /// (not its descendants) active at `now`: the fleet rule, under which a
+  /// row brownout shrinks the row's deliverable watts. Validates the path.
   [[nodiscard]] double node_scale(const std::string& node, double now) const;
 
   /// The attached faults, in insertion order (node path, fault).

@@ -1,35 +1,47 @@
-// Chaos campaigns at fleet scope.
+// Chaos campaigns: a faults::CampaignConfig timeline run against CapGPU
+// rigs and scored into telemetry::ResilienceEntry scorecards (MTTR, SLO
+// error budget burned during and after the fault, recovery overshoot,
+// fail-safe dwell) in ResilienceRegistry::current(), which --resilience-out
+// renders. Two drivers share the rig assembly, the per-period snapshot and
+// one scorer; they differ only in the budget rule (faults/domain_tree.hpp
+// states both): run_campaign puts one RackCoordinator over every rig and
+// scales the one rack budget, run_fleet_campaign runs a FleetSim cascade.
 //
-// Reuses the faults::CampaignConfig document — same JSON schema, same
-// DomainTree path grammar — but runs the staged fault timeline against a
-// whole FleetSim instead of a single rack: `rack_budget_w` becomes the
-// per-rack share of the facility budget, the stages' nodes may name rows
-// ("row1/rack2/pdu0"), and the scorecards land in
-// telemetry::ResilienceRegistry::current() under variant "fleet" (distinct
-// from run_campaign's "baseline"/"hardened" so A/B extraction scripts keep
-// seeing exactly one entry per variant). Scoring runs on the caller's
-// thread after the sharded run has merged, from the deterministic
-// FleetResult — so the scorecard bytes are identical for any
-// --shards/--jobs combination.
+// The rack A/B: with coordinator health management on ("hardened") a
+// campaign must burn strictly less error budget than with it off
+// ("baseline"): quarantining dark rigs at their minimum frees budget for
+// the healthy, burning ones. Fleet scorecards use variant "fleet".
 #pragma once
+
+#include <string>
+#include <vector>
 
 #include "faults/campaign.hpp"
 #include "fleet/fleet_sim.hpp"
+#include "telemetry/resilience.hpp"
 
 namespace capgpu::fleet {
 
-/// Aggregate outcome of one fleet campaign.
-struct FleetCampaignResult {
-  FleetResult fleet;
-  /// Lifetime error-budget fraction consumed across the whole fleet.
+/// Outcome of one campaign run, either driver.
+struct CampaignResult {
+  std::string variant;  ///< "baseline", "hardened" or "fleet"
+  FleetResult run;      ///< snapshots, health log and tallies
+  /// Lifetime error-budget fraction consumed, summed misses over summed
+  /// checks across every rig: (miss rate) / (1 - objective).
   double total_burn{0.0};
   std::vector<telemetry::ResilienceEntry> stages;  ///< copy of the entries
 };
 
-/// Runs the campaign against the fleet, health management always on (the
-/// fleet campaign scores the hierarchy, not the health A/B). Facility
-/// budget = config.rack_budget_w * racks.
-[[nodiscard]] FleetCampaignResult run_fleet_campaign(
+/// Runs the campaign on one rack. `health_managed` switches the
+/// coordinator's rig-health layer (variant "hardened" / "baseline"); the
+/// control loops are always hardened, so the A/B isolates the coordinator.
+[[nodiscard]] CampaignResult run_campaign(const faults::CampaignConfig& config,
+                                          bool health_managed);
+
+/// Runs the campaign against a FleetSim with health management on and a
+/// facility budget of config.rack_budget_w * racks. Scoring reads only the
+/// merged FleetResult, so the scorecard is identical for any layout.
+[[nodiscard]] CampaignResult run_fleet_campaign(
     const faults::CampaignConfig& config, FleetOptions options = {});
 
 }  // namespace capgpu::fleet

@@ -81,9 +81,9 @@ struct FleetDecisionRecord {
   }
 };
 
-/// Per-epoch observation of the whole fleet (per-rig vectors are in
-/// topology order — the same shape faults::run_campaign snapshots, so the
-/// fleet chaos campaign scores with the same rules).
+/// Per-epoch observation of every rig (per-rig vectors in topology
+/// order). Both campaign drivers fill these, and one scorer
+/// (fleet/campaign.cpp) scores either from them.
 struct FleetPeriodSnap {
   double t{0.0};
   double fleet_power_w{0.0};

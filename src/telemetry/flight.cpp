@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "control/horizon.hpp"
 #include "telemetry/metric_names.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -139,24 +140,13 @@ class ObjectBuilder {
 };
 
 // --- JSON reading ----------------------------------------------------------
-// Flight logs are input from outside the process. Casting a negative,
-// fractional-out-of-range or non-finite double to an integer type is
-// undefined behaviour, so every integer field goes through checked_integer,
-// and a malformed log ends in a typed InvalidArgument, never a wild cast.
-
-/// Largest integer a double holds exactly; the bound for size fields.
-constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+// Flight logs are input from outside the process: every integer field goes
+// through json::checked_integer, and the MPC horizons are held to the
+// bounds the controller accepts, so a malformed log ends in a typed
+// InvalidArgument, never a wild cast or a runaway replay.
 
 double checked_integer(double x, double lo, double hi, const char* key) {
-  if (!(std::isfinite(x) && x == std::floor(x) && x >= lo && x <= hi)) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "flight record: '%s' = %.17g is not an integer in "
-                  "[%.17g, %.17g]",
-                  key, x, lo, hi);
-    throw InvalidArgument(buf);
-  }
-  return x;
+  return json::checked_integer(x, lo, hi, "flight record", key);
 }
 
 int int_at(const json::Value& v, const char* key, double fallback,
@@ -191,9 +181,10 @@ bool bool_at(const json::Value& v, const char* key) {
   return v.number_or(key, 0.0) != 0.0;
 }
 
-std::size_t size_at(const json::Value& v, const char* key) {
+std::size_t size_at(const json::Value& v, const char* key,
+                    double hi = json::kMaxExactInteger) {
   return static_cast<std::size_t>(
-      checked_integer(v.number_or(key, 0.0), 0.0, kMaxExactInteger, key));
+      checked_integer(v.number_or(key, 0.0), 0.0, hi, key));
 }
 
 /// Replay indexes every per-device array of an MPC block by device, so
@@ -325,8 +316,11 @@ FlightRecord FlightRecord::from_json(const json::Value& v) {
     mpc.f_lo_mhz = numbers_at(m, "f_lo_mhz");
     mpc.f_hi_mhz = numbers_at(m, "f_hi_mhz");
     mpc.device_kinds = ints_at(m, "device_kinds");
-    mpc.prediction_horizon = size_at(m, "prediction_horizon");
-    mpc.control_horizon = size_at(m, "control_horizon");
+    mpc.prediction_horizon = size_at(
+        m, "prediction_horizon",
+        static_cast<double>(control::kMaxPredictionHorizon));
+    mpc.control_horizon = size_at(
+        m, "control_horizon", static_cast<double>(control::kMaxControlHorizon));
     mpc.tracking_weight = m.number_or("tracking_weight", 0.0);
     mpc.reference_decay = m.number_or("reference_decay", 0.0);
     mpc.violation_decay = m.number_or("violation_decay", 0.0);

@@ -259,6 +259,19 @@ TEST(Mpc, ConfigurationValidation) {
   EXPECT_THROW(MpcController(wrong_horizons, testbed_devices(),
                              testbed_model(), 900_W),
                capgpu::InvalidArgument);
+  MpcConfig long_horizons = default_config();
+  long_horizons.prediction_horizon = kMaxPredictionHorizon + 1;
+  EXPECT_THROW(MpcController(long_horizons, testbed_devices(),
+                             testbed_model(), 900_W),
+               capgpu::InvalidArgument);
+  long_horizons.prediction_horizon = kMaxPredictionHorizon;
+  long_horizons.control_horizon = kMaxControlHorizon + 1;
+  EXPECT_THROW(MpcController(long_horizons, testbed_devices(),
+                             testbed_model(), 900_W),
+               capgpu::InvalidArgument);
+  long_horizons.control_horizon = kMaxControlHorizon;
+  EXPECT_NO_THROW(MpcController(long_horizons, testbed_devices(),
+                                testbed_model(), 900_W));
   // Model/device mismatch.
   EXPECT_THROW(MpcController(default_config(), testbed_devices(),
                              LinearPowerModel({0.1}, 0.0), 900_W),

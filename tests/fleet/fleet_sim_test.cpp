@@ -171,13 +171,13 @@ TEST(FleetCampaign, ScoresStagesUnderFleetVariant) {
   telemetry::ScenarioTelemetry parent(telemetry::Tracer::current(),
                                       telemetry::FlightRecorder::current());
   telemetry::ScenarioTelemetry::Binding bind(parent);
-  const FleetCampaignResult r = run_fleet_campaign(cc, {4, 2});
+  const CampaignResult r = run_fleet_campaign(cc, {4, 2});
   ASSERT_EQ(r.stages.size(), 1u);
   EXPECT_EQ(r.stages[0].variant, "fleet");
   EXPECT_EQ(r.stages[0].domain, "row1/rack0/pdu0");
   EXPECT_EQ(parent.resilience().entries().size(), 1u);
   EXPECT_GE(r.total_burn, 0.0);
-  EXPECT_EQ(r.fleet.rigs, 16u);
+  EXPECT_EQ(r.run.rigs, 16u);
 }
 
 }  // namespace

@@ -475,6 +475,27 @@ TEST(FlightRecordHostile, NonIntegerCountsThrowTypedErrors) {
   }
 }
 
+TEST(FlightRecordHostile, HorizonsBeyondTheControllerBoundFailFast) {
+  // A 4e9-step horizon used to parse, after which replay spun for minutes
+  // in the solve and then asked for 32 GB. It must fail in the reader.
+  for (const char* value : {"4000000000", "1025"}) {
+    EXPECT_THROW((void)FlightRecord::from_json(json::parse(
+                     with_value(kGoldenLine, "prediction_horizon", value))),
+                 capgpu::InvalidArgument)
+        << value;
+  }
+  EXPECT_THROW((void)FlightRecord::from_json(json::parse(
+                   with_value(kGoldenLine, "control_horizon", "65"))),
+               capgpu::InvalidArgument);
+  // The horizons bench_ablation_horizons sweeps stay readable.
+  const FlightRecord p64 = FlightRecord::from_json(
+      json::parse(with_value(kGoldenLine, "prediction_horizon", "64")));
+  EXPECT_EQ(p64.mpc.prediction_horizon, 64u);
+  const FlightRecord m8 = FlightRecord::from_json(
+      json::parse(with_value(kGoldenLine, "control_horizon", "8")));
+  EXPECT_EQ(m8.mpc.control_horizon, 8u);
+}
+
 TEST(FlightRecordHostile, NonIntegerArrayEntriesThrowTypedErrors) {
   for (const char* key :
        {"device_kinds", "floor_binding", "ceiling_binding"}) {

@@ -15,7 +15,8 @@
 // no bits. Periods are counted by the recorded solve path (warm / cold).
 //
 // --counterfactual re-solves every period under a modified configuration
-// (a different power cap, a different prediction horizon) and reports how
+// (a different power cap, a different prediction horizon N in
+// [1, control::kMaxPredictionHorizon]) and reports how
 // the decisions would have moved — together with the recorded
 // prediction-error residuals and binding-constraint fractions this
 // attributes SLO burn to model error vs constraint pressure.
@@ -269,7 +270,10 @@ int main(int argc, char** argv) {
         cap = std::stod(spec.substr(4));
       } else if (spec.rfind("horizon=", 0) == 0) {
         const long n = std::stol(spec.substr(8));
-        if (n < 1) return usage(argv[0]);
+        if (n < 1 ||
+            n > static_cast<long>(capgpu::control::kMaxPredictionHorizon)) {
+          return usage(argv[0]);
+        }
         horizon = static_cast<std::size_t>(n);
       } else {
         return usage(argv[0]);

@@ -127,10 +127,14 @@ std::string campaign_text(int argc, char** argv) {
 int main(int argc, char** argv) {
   capgpu::bench::init(argc, argv);
   std::size_t fleet_shards = 0;  // 0 = FleetSim's default shard count
+  faults::CampaignConfig cfg;
   try {
     const auto flags = extract_flags(argc, argv, {"shards"});
     if (auto it = flags.find("shards"); it != flags.end())
-      fleet_shards = static_cast<std::size_t>(std::stoul(it->second));
+      fleet_shards =
+          bench::parse_count("shards", it->second, 0, bench::kMaxFlagShards);
+    // A malformed or hostile --campaign document is a usage error too.
+    cfg = faults::parse_campaign(campaign_text(argc, argv));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 2;
@@ -139,8 +143,6 @@ int main(int argc, char** argv) {
       "Extension: chaos campaigns over correlated fault domains",
       "rig health management under a PDU brownout");
 
-  const faults::CampaignConfig cfg =
-      faults::parse_campaign(campaign_text(argc, argv));
   std::printf(
       "campaign '%s': %zu rigs (%zux%zux%zu), %.0f W rack budget, "
       "%zu periods x %.0f s\n",

@@ -348,7 +348,10 @@ int main(int argc, char** argv) {
 
   // More runs than the engine table: the guard compares two nearly equal
   // speeds, which needs more samples than a 2x-apart engine comparison.
-  constexpr int kOverheadPairs = 15;
+  // 15 pairs left the median spreading ~7 points between runs on a shared
+  // 4-vCPU host (one read 5.68% against the 5% budget); 45 pairs cut the
+  // median's spread by ~sqrt(3) for ~1 s of CPU per pair.
+  constexpr int kOverheadPairs = 45;
   std::uint64_t guard_events = 0;
   const auto guard_run = [&guard_events](bool stage_stats) {
     const GuardRun r = run_pipeline_once(stage_stats);

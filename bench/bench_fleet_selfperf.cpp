@@ -156,14 +156,12 @@ int main(int argc, char** argv) {
     const auto flags =
         extract_flags(argc, argv, {"out", "reps", "shards", "workers", "gate"});
     if (auto it = flags.find("out"); it != flags.end()) out_path = it->second;
-    if (auto it = flags.find("reps"); it != flags.end()) {
-      reps = std::stoi(it->second);
-      CAPGPU_REQUIRE(reps > 0, "--reps must be positive");
-    }
+    if (auto it = flags.find("reps"); it != flags.end())
+      reps = static_cast<int>(bench::parse_count("reps", it->second, 1, 1000));
     if (auto it = flags.find("shards"); it != flags.end())
-      shards = static_cast<std::size_t>(std::stoul(it->second));
+      shards = bench::parse_count("shards", it->second, 0, bench::kMaxFlagShards);
     if (auto it = flags.find("workers"); it != flags.end())
-      workers = static_cast<std::size_t>(std::stoul(it->second));
+      workers = bench::parse_count("workers", it->second, 0, bench::kMaxFlagThreads);
     if (auto it = flags.find("gate"); it != flags.end())
       gate_only = it->second != "0";
   } catch (const std::exception& e) {

@@ -619,10 +619,8 @@ int main(int argc, char** argv) {
   try {
     const auto flags = extract_flags(argc, argv, {"out", "reps"});
     if (auto it = flags.find("out"); it != flags.end()) out_path = it->second;
-    if (auto it = flags.find("reps"); it != flags.end()) {
-      reps = std::stoi(it->second);
-      CAPGPU_REQUIRE(reps > 0, "--reps must be positive");
-    }
+    if (auto it = flags.find("reps"); it != flags.end())
+      reps = static_cast<int>(bench::parse_count("reps", it->second, 1, 1000));
   } catch (const InvalidArgument& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 2;

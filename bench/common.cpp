@@ -243,15 +243,14 @@ void init(int& argc, char** argv) {
     }
   }
   if (auto it = flags.find("jobs"); it != flags.end()) {
-    char* end = nullptr;
-    const long n = std::strtol(it->second.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || n < 0) {
-      std::fprintf(stderr, "%s: option --jobs expects a non-negative integer\n",
-                   argv[0]);
+    std::size_t n = 0;
+    try {
+      n = parse_count("jobs", it->second, 0, kMaxFlagThreads);
+    } catch (const InvalidArgument& e) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
       std::exit(2);
     }
-    jobs_slot() = n == 0 ? runner::ThreadPool::hardware_jobs()
-                         : static_cast<std::size_t>(n);
+    jobs_slot() = n == 0 ? runner::ThreadPool::hardware_jobs() : n;
   }
   if (out.trace_path || out.events_path) {
     telemetry::Tracer::global().set_enabled(true);
@@ -277,6 +276,20 @@ void init(int& argc, char** argv) {
 }
 
 std::size_t jobs() { return jobs_slot(); }
+
+std::size_t parse_count(const std::string& name, const std::string& value,
+                        std::size_t lo, std::size_t hi) {
+  // At most 18 digits, so the conversion below cannot overflow.
+  const bool digits = !value.empty() && value.size() <= 18 &&
+                      value.find_first_not_of("0123456789") == std::string::npos;
+  const std::size_t n = digits ? std::stoull(value) : 0;
+  if (!digits || n < lo || n > hi) {
+    throw InvalidArgument("option --" + name + " expects an integer in [" +
+                          std::to_string(lo) + ", " + std::to_string(hi) +
+                          "], got '" + value + "'");
+  }
+  return n;
+}
 
 const control::IdentifiedModel& testbed_model() {
   static const control::IdentifiedModel model = [] {

@@ -13,6 +13,7 @@
 #include "control/sysid.hpp"
 #include "core/capgpu_controller.hpp"
 #include "core/rig.hpp"
+#include "faults/campaign.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/table.hpp"
 #include "telemetry/timeseries.hpp"
@@ -30,7 +31,8 @@ namespace capgpu::bench {
 ///                          the tracer
 ///   --log-level <level>    debug | info | warn | error | off
 ///   --jobs <N>             worker threads for parallel scenario sweeps
-///                          (default 1; 0 = hardware threads). Output is
+///                          (default 1; 0 = hardware threads; at most
+///                          kMaxFlagThreads). Output is
 ///                          byte-identical for every N — see
 ///                          docs/performance.md.
 ///   --summary-out <path>   machine-readable JSON run summary: scenario
@@ -59,6 +61,23 @@ void init(int& argc, char** argv);
 
 /// Worker-thread count requested via --jobs, already resolved: >= 1.
 [[nodiscard]] std::size_t jobs();
+
+/// Largest thread count a flag may ask for (--jobs, --workers). Far above
+/// the cores of any host this runs on, and low enough that no flag value
+/// can start thousands of threads.
+inline constexpr std::size_t kMaxFlagThreads = 256;
+/// Largest --shards: one rig per shard on the largest fleet a campaign may
+/// build. Shards start no threads of their own.
+inline constexpr std::size_t kMaxFlagShards = faults::kMaxCampaignRigs;
+
+/// Parses the value of the integer flag `--<name>`: plain decimal digits
+/// for a number in [lo, hi]. A sign, trailing text, overflow or an
+/// out-of-range value throws InvalidArgument naming the flag, so "-1"
+/// cannot wrap to a huge count and "4x" cannot read as 4. --jobs and the
+/// bench-local flags (--reps, --shards, --workers) all parse through here.
+[[nodiscard]] std::size_t parse_count(const std::string& name,
+                                      const std::string& value,
+                                      std::size_t lo, std::size_t hi);
 
 /// Pole used by every proportional baseline (chosen, as in the paper, to
 /// minimise oscillation while converging quickly).

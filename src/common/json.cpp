@@ -82,12 +82,15 @@ class Parser {
  public:
   Parser(const std::string& text, std::size_t pos) : text_(text), pos_(pos) {}
 
-  Value parse_value() {
+  /// `depth` counts the arrays and objects enclosing this value; the
+  /// recursion is bounded so hostile nesting fails instead of overflowing
+  /// the stack.
+  Value parse_value(std::size_t depth = 0) {
     skip_ws();
     CAPGPU_REQUIRE(pos_ < text_.size(), err("unexpected end of input"));
     switch (text_[pos_]) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth);
+      case '[': return parse_array(depth);
       case '"': return Value(parse_string());
       case 't': expect_word("true"); return Value(true);
       case 'f': expect_word("false"); return Value(false);
@@ -125,7 +128,14 @@ class Parser {
     }
   }
 
-  Value parse_object() {
+  void check_depth(std::size_t depth) const {
+    CAPGPU_REQUIRE(depth < kMaxDepth,
+                   err("nesting deeper than " + std::to_string(kMaxDepth) +
+                       " levels"));
+  }
+
+  Value parse_object(std::size_t depth) {
+    check_depth(depth);
     expect('{');
     Object obj;
     skip_ws();
@@ -138,7 +148,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj.insert_or_assign(std::move(key), parse_value());
+      obj.insert_or_assign(std::move(key), parse_value(depth + 1));
       skip_ws();
       CAPGPU_REQUIRE(pos_ < text_.size(), err("unterminated object"));
       if (text_[pos_] == ',') {
@@ -150,7 +160,8 @@ class Parser {
     }
   }
 
-  Value parse_array() {
+  Value parse_array(std::size_t depth) {
+    check_depth(depth);
     expect('[');
     Array arr;
     skip_ws();
@@ -159,7 +170,7 @@ class Parser {
       return Value(std::move(arr));
     }
     while (true) {
-      arr.push_back(parse_value());
+      arr.push_back(parse_value(depth + 1));
       skip_ws();
       CAPGPU_REQUIRE(pos_ < text_.size(), err("unterminated array"));
       if (text_[pos_] == ',') {

@@ -73,6 +73,10 @@ inline constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
 [[nodiscard]] double checked_integer(double x, double lo, double hi,
                                      const char* context, const char* key);
 
+/// Deepest array/object nesting the parser accepts; deeper documents throw
+/// InvalidArgument instead of recursing off the stack.
+inline constexpr std::size_t kMaxDepth = 256;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 [[nodiscard]] Value parse(const std::string& text);
 

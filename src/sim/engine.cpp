@@ -133,24 +133,41 @@ EventId Engine::schedule_periodic(SimTime period, Callback cb) {
   return make_id(slot, s.generation);
 }
 
-bool Engine::try_reschedule_firing(EventId id, SimTime delay) {
-  CAPGPU_REQUIRE(delay >= 0.0, "negative delay");
+EventId Engine::make_timer(Callback cb) {
+  CAPGPU_REQUIRE(static_cast<bool>(cb),
+                 "cannot make a timer with a null callback");
+  const std::uint32_t slot = alloc_slot();
+  Slot& s = slot_ref(slot);
+  s.cb = std::move(cb);
+  s.timer = true;
+  return make_id(slot, s.generation);
+}
+
+void Engine::arm_at(EventId id, SimTime at) {
+  CAPGPU_REQUIRE(at >= now_, "cannot arm a timer in the past");
   const auto slot = static_cast<std::uint32_t>(id >> 32);
   const auto generation = static_cast<std::uint32_t>(id);
-  if (slot != firing_slot_) return false;
+  CAPGPU_REQUIRE(slot < slot_count_, "not a timer id");
   Slot& s = slot_ref(slot);
-  if (s.generation != generation) return false;
-  CAPGPU_REQUIRE(!s.periodic, "periodic events reschedule themselves");
-  CAPGPU_REQUIRE(!resched_armed_ && !s.live,
-                 "event already rescheduled during this firing");
-  // The seq is drawn here — at the call, exactly where schedule_after
-  // would draw it — so the FIFO tie-break order is identical whichever
-  // path a caller takes.
-  resched_node_ = Node{now_ + delay, next_seq_++, slot, generation};
-  resched_armed_ = true;
+  CAPGPU_REQUIRE(s.timer && s.generation == generation, "not a timer id");
+  CAPGPU_REQUIRE(!s.live, "timer is already armed");
   s.live = true;
   ++live_count_;
-  return true;
+  const Node node{at, next_seq_++, slot, generation};
+  if (s.firing) {
+    // Re-armed from inside its own callback: the fired node still sits at
+    // the heap top (everything scheduled meanwhile is strictly later), so
+    // settle_fired overwrites it instead of popping and pushing.
+    resched_node_ = node;
+    resched_armed_ = true;
+  } else {
+    heap_push(node);
+  }
+}
+
+void Engine::arm_after(EventId id, SimTime delay) {
+  CAPGPU_REQUIRE(delay >= 0.0, "negative delay");
+  arm_at(id, now_ + delay);
 }
 
 void Engine::cancel(EventId id) {
@@ -163,10 +180,22 @@ void Engine::cancel(EventId id) {
   --live_count_;
   // A callback cancelling itself mid-invocation: its node is the one
   // fire_top is holding at the top, and a closure must not destroy itself,
-  // so fire_top removes the node and recycles the slot after it returns.
+  // so settle_fired removes the node (and recycles a one-shot's slot) after
+  // it returns.
   if (s.firing) return;
   remove_at(s.heap_pos);
-  recycle_slot(slot);
+  if (!s.timer) recycle_slot(slot);
+}
+
+void Engine::settle_fired(std::uint32_t slot) {
+  Slot& s = slot_ref(slot);
+  s.firing = false;
+  if (resched_armed_ && s.live) {
+    replace_top(resched_node_);
+  } else {
+    heap_pop();
+    if (!s.timer) recycle_slot(slot);
+  }
 }
 
 bool Engine::fire_top() {
@@ -181,51 +210,35 @@ bool Engine::fire_top() {
   }
   if (!s.live) {
     heap_pop();
-    recycle_slot(node.slot);
+    if (!s.timer) recycle_slot(node.slot);
     return false;
   }
 
   now_ = node.time;
   ++executed_;
   if (!s.periodic) {
-    // Invoke in place: the slot stays occupied until after the callback
-    // returns (so new events cannot reuse it mid-invocation, and the
-    // closure is not destroyed while it runs), but it is already dead —
-    // a cancel() of our id from inside the callback is a plain no-op.
-    // The fired node also stays at the heap top while the callback runs
-    // (everything the callback schedules is strictly later than
-    // (node.time, node.seq), so the heap property holds); when the
-    // callback re-arms itself via try_reschedule_firing the pop + push
-    // collapses into a replace-top, the same fast path periodic events
-    // use.
+    // One-shot or timer. Invoke in place: the slot stays occupied until
+    // after the callback returns (so new events cannot reuse it
+    // mid-invocation, and the closure is not destroyed while it runs), but
+    // it is already dead — a cancel() of our id from inside the callback
+    // is a plain no-op, and a timer may re-arm itself. The fired node also
+    // stays at the heap top while the callback runs (everything the
+    // callback schedules is strictly later than (node.time, node.seq), so
+    // the heap property holds); a self re-arm turns the pop + push into a
+    // replace-top, the same fast path periodic events use.
     s.live = false;
     --live_count_;
     s.firing = true;
-    firing_slot_ = node.slot;
     resched_armed_ = false;
     try {
       s.cb();
     } catch (...) {
-      s.firing = false;
-      firing_slot_ = kNoSlot;
-      // schedule_after'd work survives a throwing callback, so a
-      // rescheduled chain does too.
-      if (resched_armed_ && s.live) {
-        replace_top(resched_node_);
-      } else {
-        heap_pop();
-        recycle_slot(node.slot);
-      }
+      // schedule_after'd work survives a throwing callback, so a re-armed
+      // timer does too.
+      settle_fired(node.slot);
       throw;
     }
-    s.firing = false;
-    firing_slot_ = kNoSlot;
-    if (resched_armed_ && s.live) {
-      replace_top(resched_node_);
-    } else {
-      heap_pop();
-      recycle_slot(node.slot);
-    }
+    settle_fired(node.slot);
     return true;
   }
 
@@ -240,14 +253,12 @@ bool Engine::fire_top() {
   // resurrect a series that cancelled itself.
   const SimTime next_time = node.time + s.period;
   s.firing = true;
-  firing_slot_ = node.slot;
   try {
     s.cb();
   } catch (...) {
     // Keep the seed engine's contract: a throwing periodic callback stays
     // scheduled (its reschedule used to be pushed before the invocation).
     s.firing = false;
-    firing_slot_ = kNoSlot;
     if (s.live) {
       replace_top(Node{next_time, next_seq_++, node.slot, node.generation});
     } else {
@@ -257,7 +268,6 @@ bool Engine::fire_top() {
     throw;
   }
   s.firing = false;
-  firing_slot_ = kNoSlot;
   if (s.live) {
     replace_top(Node{next_time, next_seq_++, node.slot, node.generation});
   } else {

@@ -13,11 +13,15 @@
 //  - the heap is indexed: every slot records where its node sits, so
 //    cancel() removes the node in place (O(log n) on a heap of *live*
 //    events) instead of leaving a tombstone — watchdog patterns that arm
-//    and cancel far-out deadlines cannot bloat the heap or the slot pool.
+//    and cancel far-out deadlines cannot bloat the heap or the slot pool;
+//  - recurring chains are persistent timers (make_timer): the slot and
+//    callback are built once and each link is one arm, so a chain pays
+//    neither slot recycling nor callback relocation per event.
 //
 // EventIds encode (slot index, generation); a recycled slot bumps its
 // generation, so stale ids from fired or cancelled events can never touch
-// a newer event occupying the same slot.
+// a newer event occupying the same slot. A timer's slot is never recycled,
+// so its id stays valid for the engine's lifetime.
 #pragma once
 
 #include <cstdint>
@@ -55,20 +59,27 @@ class Engine {
   /// cancellation from inside its own callback.
   EventId schedule_periodic(SimTime period, Callback cb);
 
-  /// One-shot self-reschedule fast path. Valid only while `id`'s own
-  /// callback is executing: re-arms the same slot and callback to fire
-  /// again at now() + delay, so a self-perpetuating chain (a preprocess
-  /// worker, a batch consumer) skips the slot recycle, the callback
-  /// reconstruction, and the heap pop+push of a fresh schedule_after —
-  /// the fired node is overwritten in place like a periodic reschedule.
-  /// The id stays valid for the whole chain (same slot, same generation),
-  /// so cancel(id) between firings still stops it. Returns false when
-  /// `id` is not the currently-firing event (e.g. the chain is being
-  /// restarted from another event's callback) — callers then fall back
-  /// to schedule_after.
-  bool try_reschedule_firing(EventId id, SimTime delay);
+  /// Creates a persistent timer: an idle event source whose slot and
+  /// callback live as long as the engine. Arm it with arm_at/arm_after;
+  /// each firing disarms it, and the callback may re-arm it. Recurring
+  /// chains (a preprocess worker, a batch consumer) thus pay no slot
+  /// allocation, callback relocation or slot recycle per link, and a
+  /// re-arm from inside the timer's own callback overwrites the fired node
+  /// in place (one sift-down) like a periodic reschedule.
+  EventId make_timer(Callback cb);
+
+  /// Arms the idle timer `id` to fire at absolute time `at` (>= now). The
+  /// FIFO seq is drawn here, exactly where schedule_at would draw it, so
+  /// the fire order is the same as scheduling a fresh event. Throws
+  /// InvalidArgument when the timer is already armed or `id` is not a
+  /// timer of this engine.
+  void arm_at(EventId id, SimTime at);
+
+  /// Arms the idle timer `id` to fire after `delay` seconds (>= 0).
+  void arm_after(EventId id, SimTime delay);
 
   /// Cancels a pending event; a no-op for already-fired or unknown ids.
+  /// On a timer it only disarms: the timer can be armed again.
   void cancel(EventId id);
 
   /// Runs events with time <= `until`; afterwards now() == `until` even if
@@ -90,11 +101,13 @@ class Engine {
     SimTime period{0.0};
     std::uint32_t generation{1};
     bool periodic{false};
+    /// Persistent timer (make_timer): never recycled; `live` means armed.
+    bool timer{false};
     bool live{false};
-    /// True while this slot's callback is executing in place (periodic
-    /// fire). A cancel() during that window marks the slot dead but defers
-    /// destroying the callback to fire_top — a closure must not destroy
-    /// itself mid-invocation.
+    /// True while this slot's callback is executing in place. A cancel()
+    /// during that window marks the slot dead but defers destroying the
+    /// callback to fire_top — a closure must not destroy itself
+    /// mid-invocation — and a timer armed during it re-arms in place.
     bool firing{false};
     /// Index of this slot's node in heap_, maintained by every sift so
     /// cancel() can remove the node without a search.
@@ -143,6 +156,10 @@ class Engine {
 
   std::uint32_t alloc_slot();
   void recycle_slot(std::uint32_t slot);
+  /// Pops the fired top node once its callback has returned (or thrown):
+  /// re-arms a timer that armed itself with one replace-top, otherwise
+  /// pops the node and recycles the slot of anything but a timer.
+  void settle_fired(std::uint32_t slot);
   void push_node(SimTime time, std::uint32_t slot, std::uint32_t generation);
   /// Pops the top node and runs it if still live; returns true when a
   /// callback executed.
@@ -152,16 +169,10 @@ class Engine {
     return (static_cast<EventId>(slot) << 32) | generation;
   }
 
-  /// Sentinel for firing_slot_ when no callback is executing.
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-
   SimTime now_{0.0};
   std::uint64_t next_seq_{0};
-  /// Slot whose callback fire_top is currently invoking; gates
-  /// try_reschedule_firing to the self-reschedule case only.
-  std::uint32_t firing_slot_{kNoSlot};
-  /// Set when the firing one-shot re-armed itself; fire_top then turns the
-  /// pending pop + push into a replace-top with resched_node_.
+  /// Set when the firing timer re-armed itself; settle_fired then turns
+  /// the pending pop + push into a replace-top with resched_node_.
   bool resched_armed_{false};
   Node resched_node_{};
   std::uint64_t executed_{0};

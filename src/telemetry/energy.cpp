@@ -185,12 +185,10 @@ void EnergyRegistry::add_cap(EnergyCapSummary cap) {
 }
 
 void EnergyRegistry::merge_from(const EnergyRegistry& other, int pid_offset) {
-  entries_.reserve(entries_.size() + other.entries_.size());
   for (EnergyEntry entry : other.entries_) {
     entry.pid += pid_offset;
     entries_.push_back(std::move(entry));
   }
-  caps_.reserve(caps_.size() + other.caps_.size());
   for (EnergyCapSummary cap : other.caps_) {
     cap.pid += pid_offset;
     caps_.push_back(std::move(cap));

@@ -132,11 +132,15 @@ MetricsRegistry::ScopedCurrent::~ScopedCurrent() {
 }
 
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (const Family* family : other.families()) {
+  // Each family is looked up once, and each series by the source family's
+  // own canonical key: both were validated when `other` registered them.
+  // A family without series creates nothing here, as a per-series lookup
+  // never would.
+  for (const Family* family : other.order_) {
+    if (family->series.empty()) continue;
+    Family& mine_family = family_for(family->name, family->help, family->type);
     for (const auto& [key, series] : family->series) {
-      Instrument& mine =
-          find_or_create(family->name, family->help, family->type,
-                         series->labels);
+      Instrument& mine = series_for(mine_family, key, series->labels);
       switch (family->type) {
         case MetricType::kCounter:
           mine.counter.inc(series->counter.value());
@@ -167,10 +171,9 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   }
 }
 
-Instrument& MetricsRegistry::find_or_create(const std::string& name,
-                                            const std::string& help,
-                                            MetricType type,
-                                            const Labels& labels) {
+MetricsRegistry::Family& MetricsRegistry::family_for(const std::string& name,
+                                                     const std::string& help,
+                                                     MetricType type) {
   CAPGPU_REQUIRE(valid_identifier(name), "invalid metric name: " + name);
   auto it = families_.find(name);
   if (it == families_.end()) {
@@ -184,17 +187,28 @@ Instrument& MetricsRegistry::find_or_create(const std::string& name,
   Family& family = *it->second;
   CAPGPU_REQUIRE(family.type == type,
                  "metric already registered with a different type: " + name);
+  return family;
+}
 
-  Labels canonical = canonical_labels(labels);
-  const std::string key = serialize(canonical);
-  auto sit = family.series.find(key);
-  if (sit == family.series.end()) {
+Instrument& MetricsRegistry::series_for(Family& family, const std::string& key,
+                                        const Labels& canonical) {
+  auto it = family.series.lower_bound(key);
+  if (it == family.series.end() || it->first != key) {
     auto inst = std::make_unique<Instrument>();
-    inst->labels = std::move(canonical);
-    inst->type = type;
-    sit = family.series.emplace(key, std::move(inst)).first;
+    inst->labels = canonical;
+    inst->type = family.type;
+    it = family.series.emplace_hint(it, key, std::move(inst));
   }
-  return *sit->second;
+  return *it->second;
+}
+
+Instrument& MetricsRegistry::find_or_create(const std::string& name,
+                                            const std::string& help,
+                                            MetricType type,
+                                            const Labels& labels) {
+  Family& family = family_for(name, help, type);
+  const Labels canonical = canonical_labels(labels);
+  return series_for(family, serialize(canonical), canonical);
 }
 
 Counter& MetricsRegistry::counter(const std::string& name,

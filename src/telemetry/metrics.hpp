@@ -192,6 +192,13 @@ class MetricsRegistry {
  private:
   Instrument& find_or_create(const std::string& name, const std::string& help,
                              MetricType type, const Labels& labels);
+  /// The family `name`, created on first use; throws on a type clash.
+  Family& family_for(const std::string& name, const std::string& help,
+                     MetricType type);
+  /// The series of `family` under serialised key `key`, created with the
+  /// already-canonical `canonical` labels on first use.
+  Instrument& series_for(Family& family, const std::string& key,
+                         const Labels& canonical);
 
   std::map<std::string, std::unique_ptr<Family>> families_;
   std::vector<Family*> order_;

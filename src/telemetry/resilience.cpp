@@ -75,7 +75,6 @@ void ResilienceRegistry::add(ResilienceEntry entry) {
 
 void ResilienceRegistry::merge_from(const ResilienceRegistry& other,
                                     int pid_offset) {
-  entries_.reserve(entries_.size() + other.entries_.size());
   for (ResilienceEntry entry : other.entries_) {
     entry.pid += pid_offset;
     entries_.push_back(std::move(entry));

@@ -106,7 +106,6 @@ SloRegistry::ScopedCurrent::~ScopedCurrent() {
 void SloRegistry::add(SloEntry entry) { entries_.push_back(std::move(entry)); }
 
 void SloRegistry::merge_from(const SloRegistry& other, int pid_offset) {
-  entries_.reserve(entries_.size() + other.entries_.size());
   for (SloEntry entry : other.entries_) {
     entry.pid += pid_offset;
     entries_.push_back(std::move(entry));

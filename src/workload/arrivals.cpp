@@ -15,6 +15,7 @@ ArrivalProcess::ArrivalProcess(sim::Engine& engine, Rng rng,
                      "schedule times must be strictly increasing");
     }
   }
+  timer_ = engine_->make_timer([this] { fire(); });
 }
 
 ArrivalProcess::~ArrivalProcess() { stop(); }
@@ -42,11 +43,20 @@ void ArrivalProcess::start() {
 }
 
 void ArrivalProcess::stop() {
-  if (pending_ != 0) {
-    engine_->cancel(pending_);
-    pending_ = 0;
-  }
+  engine_->cancel(timer_);
   started_ = false;
+}
+
+void ArrivalProcess::fire() {
+  if (on_arrivals) {
+    generate_chunk();
+    return;
+  }
+  if (arrival_due_) {
+    ++arrivals_;
+    if (on_arrival) on_arrival();
+  }
+  schedule_next();
 }
 
 void ArrivalProcess::schedule_next() {
@@ -64,23 +74,17 @@ void ArrivalProcess::schedule_next() {
 
   if (rate <= 0.0) {
     if (next_change < 0.0) return;  // zero rate forever: done
-    pending_ = engine_->schedule_at(next_change, [this] { schedule_next(); });
+    arrival_due_ = false;
+    engine_->arm_at(timer_, next_change);
     return;
   }
 
   const double gap = rng_.exponential(rate);
   const double arrival_time = now + gap;
-  if (next_change > 0.0 && arrival_time > next_change) {
-    // The rate changes before this arrival would land: re-draw under the
-    // new rate from the change point (memorylessness makes this exact).
-    pending_ = engine_->schedule_at(next_change, [this] { schedule_next(); });
-    return;
-  }
-  pending_ = engine_->schedule_at(arrival_time, [this] {
-    ++arrivals_;
-    if (on_arrival) on_arrival();
-    schedule_next();
-  });
+  // When the rate changes before this arrival would land, re-draw under
+  // the new rate from the change point (memorylessness makes this exact).
+  arrival_due_ = !(next_change > 0.0 && arrival_time > next_change);
+  engine_->arm_at(timer_, arrival_due_ ? arrival_time : next_change);
 }
 
 void ArrivalProcess::generate_chunk() {
@@ -115,15 +119,12 @@ void ArrivalProcess::generate_chunk() {
     chunk_[count++] = arrival_time;
     t = arrival_time;
   }
-  if (count == 0) {
-    pending_ = 0;
-    return;  // zero rate to the end of the schedule: no more arrivals
-  }
+  if (count == 0) return;  // zero rate to the end of the schedule: done
   arrivals_ += count;
   on_arrivals(chunk_.data(), count);
   // Re-arm at the last generated arrival: by then every delivered stamp is
   // due and the next chunk continues the gap sequence seamlessly.
-  pending_ = engine_->schedule_at(chunk_[count - 1], [this] { generate_chunk(); });
+  engine_->arm_at(timer_, chunk_[count - 1]);
 }
 
 }  // namespace capgpu::workload

@@ -57,6 +57,9 @@ class ArrivalProcess {
   /// Arrivals drawn per chunk in bulk mode (one generation event each).
   static constexpr std::size_t kChunk = 64;
 
+  /// The timer's one callback: a chunk (bulk mode), or an arrival and/or
+  /// the next per-event draw.
+  void fire();
   void schedule_next();
   void generate_chunk();
 
@@ -67,7 +70,9 @@ class ArrivalProcess {
   /// Fired arrivals (per-event mode) or generated arrivals (bulk mode —
   /// counts run ahead of sim time by up to one chunk).
   std::uint64_t arrivals_{0};
-  sim::EventId pending_{0};
+  sim::EventId timer_{0};
+  /// Per-event mode: the armed firing is an arrival, not a rate change.
+  bool arrival_due_{false};
   bool started_{false};
 };
 

@@ -43,6 +43,7 @@ CpuTaskSim::CpuTaskSim(sim::Engine& engine, hw::CpuModel& cpu,
                   (cpu.freqs().max().value / 1000.0) / params.subset_s_ghz) {
   CAPGPU_REQUIRE(params_.cores > 0, "need at least one core");
   CAPGPU_REQUIRE(params_.subset_s_ghz > 0.0, "subset cost must be positive");
+  round_timer_ = engine_->make_timer([this] { finish_round(); });
 }
 
 void CpuTaskSim::start() {
@@ -54,15 +55,16 @@ void CpuTaskSim::start() {
 void CpuTaskSim::run_round() {
   const double f_ghz = cpu_->frequency().value / 1000.0;
   const double j = params_.jitter_frac;
-  const double subset_time =
-      params_.subset_s_ghz / f_ghz * rng_.uniform(1.0 - j, 1.0 + j);
-  engine_->schedule_after(subset_time, [this, subset_time] {
-    // One round: every core finished one subset evaluation.
-    subsets_ += params_.cores;
-    throughput_.record(engine_->now(), static_cast<double>(params_.cores));
-    subset_latency_.record(engine_->now(), subset_time);
-    run_round();
-  });
+  subset_time_ = params_.subset_s_ghz / f_ghz * rng_.uniform(1.0 - j, 1.0 + j);
+  engine_->arm_after(round_timer_, subset_time_);
+}
+
+void CpuTaskSim::finish_round() {
+  // One round: every core finished one subset evaluation.
+  subsets_ += params_.cores;
+  throughput_.record(engine_->now(), static_cast<double>(params_.cores));
+  subset_latency_.record(engine_->now(), subset_time_);
+  run_round();
 }
 
 }  // namespace capgpu::workload

@@ -77,6 +77,7 @@ class CpuTaskSim {
 
  private:
   void run_round();
+  void finish_round();
 
   sim::Engine* engine_;
   hw::CpuModel* cpu_;
@@ -84,6 +85,8 @@ class CpuTaskSim {
   Rng rng_;
   ThroughputMonitor throughput_;
   LatencyMonitor subset_latency_;
+  sim::EventId round_timer_{0};  ///< fires when the current round is done
+  double subset_time_{0.0};      ///< duration of the current round
   std::uint64_t subsets_{0};
   bool started_{false};
 };

@@ -45,6 +45,18 @@ InferenceStream::InferenceStream(sim::Engine& engine, hw::ServerModel& server,
   if (params_.stage_stats) {
     stage_scratch_.reserve(4 * queue_.capacity());
   }
+  // Every recurring event source is a persistent engine timer: built once
+  // here, then each image, batch and wakeup is a single arm.
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    workers_[w].timer =
+        engine_->make_timer([this, w] { worker_finish_image(w); });
+  }
+  batch_timer_ =
+      engine_->make_timer([this] { consumer_finish_batch(batch_exec_); });
+  arrival_timer_ = engine_->make_timer([this] {
+    arrival_armed_ = false;
+    wake_ready_arrivals();
+  });
 
   auto& registry = telemetry::MetricsRegistry::current();
   const telemetry::Labels by_model{{"model", params_.model.name}};
@@ -169,16 +181,10 @@ void InferenceStream::worker_start_image(std::size_t w) {
   set_worker_computing(w, true);
   const double compute = preprocess_duration();
   workers_[w].compute = compute;
-  // Workers are self-perpetuating event chains: in the common case this
-  // start runs inside the worker's own completion callback, so the fired
-  // event re-arms in place (no slot recycle, no callback rebuild, one
-  // sift-down). When the start comes from another event — initial start,
-  // a blocked worker woken by the consumer, an arrival wakeup — the stored
-  // id is not the firing event and we fall back to a fresh schedule.
-  if (!engine_->try_reschedule_firing(workers_[w].event, compute)) {
-    workers_[w].event = engine_->schedule_after(
-        compute, [this, w] { worker_finish_image(w); });
-  }
+  // Inside the worker's own completion this re-arms the fired node in
+  // place; from another event (initial start, a blocked worker woken by
+  // the consumer, an arrival wakeup) it pushes the idle timer.
+  engine_->arm_after(workers_[w].timer, compute);
 }
 
 void InferenceStream::submit_requests(std::size_t n_images) {
@@ -210,14 +216,11 @@ void InferenceStream::wake_ready_arrivals() {
 void InferenceStream::maybe_arm_arrival_wakeup() {
   // Only needed when workers idle ahead of a future arrival (bulk mode);
   // busy workers re-check the pending ring the moment they free up.
-  if (arrival_wakeup_ != 0 || idle_workers_.empty() ||
-      pending_arrivals_.empty()) {
+  if (arrival_armed_ || idle_workers_.empty() || pending_arrivals_.empty()) {
     return;
   }
-  arrival_wakeup_ = engine_->schedule_at(pending_arrivals_.front(), [this] {
-    arrival_wakeup_ = 0;
-    wake_ready_arrivals();
-  });
+  arrival_armed_ = true;
+  engine_->arm_at(arrival_timer_, pending_arrivals_.front());
 }
 
 void InferenceStream::worker_finish_image(std::size_t w) {
@@ -274,12 +277,7 @@ void InferenceStream::consumer_try_start() {
                                                          "workload");
     const double exec = batch_duration();
     batch_exec_ = exec;
-    // Saturated streams chain batch after batch from inside the previous
-    // completion: reuse the fired event like the workers do.
-    if (!engine_->try_reschedule_firing(batch_event_, exec)) {
-      batch_event_ = engine_->schedule_after(
-          exec, [this] { consumer_finish_batch(batch_exec_); });
-    }
+    engine_->arm_after(batch_timer_, exec);
   } else {
     consumer_waiting_ = true;
     consumer_threshold_ = batch;

@@ -196,7 +196,7 @@ class InferenceStream {
     bool computing{false};
     RequestId req{0};        ///< pool id of the image currently held
     double compute{0.0};     ///< preprocess duration of the current image
-    sim::EventId event{0};   ///< completion event of the current image
+    sim::EventId timer{0};   ///< fires when the current image is done
   };
 
   void worker_start_image(std::size_t w);
@@ -212,7 +212,7 @@ class InferenceStream {
   /// Starts idle workers on every pending arrival whose time has come,
   /// newest-parked worker first (the historical wake order).
   void wake_ready_arrivals();
-  /// Schedules a wakeup at the head pending arrival when workers idle ahead
+  /// Arms the wakeup at the head pending arrival when workers idle ahead
   /// of the arrivals (bulk mode delivers future timestamps).
   void maybe_arm_arrival_wakeup();
 
@@ -239,14 +239,15 @@ class InferenceStream {
   /// at most one batch is in flight per stream).
   std::vector<RequestId> batch_ids_;
   std::size_t in_flight_{0};
-  sim::EventId batch_event_{0};  ///< completion event of the in-flight batch
+  sim::EventId batch_timer_{0};  ///< fires when the in-flight batch is done
   double batch_exec_{0.0};       ///< execution latency of the in-flight batch
 
   /// Open-loop arrival stamps of requests not yet picked up by a worker
   /// (FIFO, so pending_requests() == size()).
   Ring<sim::SimTime> pending_arrivals_;
   std::vector<std::size_t> idle_workers_;
-  sim::EventId arrival_wakeup_{0};
+  sim::EventId arrival_timer_{0};  ///< wakes idle workers at the head arrival
+  bool arrival_armed_{false};
 
   ThroughputMonitor images_;
   LatencyMonitor batch_latency_;

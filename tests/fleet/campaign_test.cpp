@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/scope.hpp"
@@ -317,6 +318,26 @@ TEST(CampaignParseHostile, SeededMutationsParseOrThrowTyped) {
   // The mutations exercise both outcomes.
   EXPECT_GT(parsed, 20u);
   EXPECT_GT(rejected, 100u);
+}
+
+TEST(CampaignParseHostile, DeepNestingThrowsTypedErrorNotStackOverflow) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  // The parser accepts exactly kMaxDepth levels of arrays or objects.
+  EXPECT_NO_THROW((void)json::parse(nested(json::kMaxDepth)));
+  EXPECT_THROW((void)json::parse(nested(json::kMaxDepth + 1)), InvalidArgument);
+  std::string objects;
+  for (std::size_t i = 0; i <= json::kMaxDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(json::kMaxDepth + 1, '}');
+  EXPECT_THROW((void)json::parse(objects), InvalidArgument);
+  // Two million unclosed brackets used to overflow the stack (exit 139).
+  const std::string hostile(2'000'000, '[');
+  EXPECT_THROW((void)json::parse(hostile), InvalidArgument);
+  EXPECT_THROW((void)faults::parse_campaign(hostile), InvalidArgument);
+  // Nested inside a campaign field, deep values fail the same way.
+  EXPECT_THROW((void)faults::parse_campaign(with_value("racks", nested(400))),
+               InvalidArgument);
 }
 
 }  // namespace

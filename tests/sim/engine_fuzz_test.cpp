@@ -1,10 +1,13 @@
 // Fuzz test of the DES kernel against a trivially-correct reference
 // implementation (sorted event list): random interleavings of schedule,
 // periodic, cancel and run operations must produce identical execution
-// traces.
+// traces. A second fuzz drives recurring chains once as persistent timers
+// and once as fresh schedule_after links: the fire order must match.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -92,6 +95,82 @@ TEST_P(EngineFuzz, MatchesReferenceOnRandomWorkloads) {
   engine.run_until(engine.now() + 1000.0);
   reference.run_until(reference.now() + 1000.0, trace_reference);
   EXPECT_EQ(trace_engine, trace_reference);
+}
+
+/// Runs random restarts, cancels, one-shots and time advances over a few
+/// recurring chains and returns the fire trace. With `timers` each chain is
+/// one persistent timer; without, every link is a fresh schedule_after.
+std::vector<int> run_chains(std::uint64_t seed, bool timers) {
+  constexpr int kChains = 6;
+  struct Chain {
+    EventId id{0};
+    bool armed{false};
+    int links{0};
+  };
+  capgpu::Rng rng(seed);
+  Engine e;
+  std::vector<int> trace;
+  std::array<Chain, kChains> chains{};
+  std::function<void(int)> arm;
+  const auto fire = [&](int c) {
+    chains[c].armed = false;
+    trace.push_back(c);
+    // Every fourth link the chain idles until something restarts it.
+    const int link = ++chains[c].links;
+    if (link % 4 != 0) arm(c);
+    // Work scheduled after the re-arm ties with it on the grid: the seq
+    // drawn at the arm call must order it before the re-armed link.
+    if (link % 3 == 0) {
+      e.schedule_after((link % 2) * 0.5, [&trace, c] { trace.push_back(50 + c); });
+    }
+  };
+  arm = [&](int c) {
+    Chain& ch = chains[c];
+    ch.armed = true;
+    // A 0.5 s grid with zero delays makes equal-time ties common.
+    const double delay = ((c * 7 + ch.links * 13) % 5) * 0.5;
+    if (timers) {
+      e.arm_after(ch.id, delay);
+    } else {
+      ch.id = e.schedule_after(delay, [&fire, c] { fire(c); });
+    }
+  };
+  if (timers) {
+    for (int c = 0; c < kChains; ++c) {
+      chains[c].id = e.make_timer([&fire, c] { fire(c); });
+    }
+  }
+  for (int op = 0; op < 1500; ++op) {
+    const double roll = rng.uniform();
+    const int c = static_cast<int>(rng.uniform_index(kChains));
+    if (roll < 0.35) {
+      if (!chains[c].armed) arm(c);  // restart from outside any event
+    } else if (roll < 0.5) {
+      e.cancel(chains[c].id);  // idle or fired: a no-op on both sides
+      chains[c].armed = false;
+    } else if (roll < 0.75) {
+      // A one-shot that restarts an idle chain from its own callback.
+      const int t = 100 + op;
+      e.schedule_after(rng.uniform_index(10) * 0.5, [&, t, c] {
+        trace.push_back(t);
+        if (!chains[c].armed) arm(c);
+      });
+    } else {
+      e.run_until(e.now() + rng.uniform_index(8) * 0.5);
+    }
+  }
+  for (auto& ch : chains) {
+    e.cancel(ch.id);
+    ch.armed = false;
+  }
+  e.run_until(e.now() + 1000.0);
+  return trace;
+}
+
+TEST_P(EngineFuzz, TimersFireLikeFreshSchedules) {
+  const std::vector<int> fresh = run_chains(GetParam(), false);
+  ASSERT_GT(fresh.size(), 500u);
+  EXPECT_EQ(run_chains(GetParam(), true), fresh);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz,

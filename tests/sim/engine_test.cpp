@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "common/error.hpp"
@@ -208,107 +209,169 @@ TEST(Engine, StepRunsOneEvent) {
   EXPECT_FALSE(e.step());
 }
 
-TEST(Engine, RescheduleFiringChainsOneShot) {
+TEST(Engine, TimerRearmsInsideOwnCallback) {
   Engine e;
   std::vector<SimTime> fired;
-  EventId id = 0;
-  id = e.schedule_after(1.0, [&] {
+  EventId timer = 0;
+  timer = e.make_timer([&] {
     fired.push_back(e.now());
-    if (fired.size() < 3) {
-      EXPECT_TRUE(e.try_reschedule_firing(id, 1.0));
-    }
+    if (fired.size() < 3) e.arm_after(timer, 1.0);
   });
+  EXPECT_EQ(e.pending(), 0u);  // a new timer is idle
+  e.arm_after(timer, 1.0);
+  EXPECT_EQ(e.pending(), 1u);
   e.run_until(10.0);
   EXPECT_EQ(fired, (std::vector<SimTime>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(e.events_executed(), 3u);
   EXPECT_EQ(e.pending(), 0u);
+  // The slot outlives the chain: the same id arms it again.
+  e.arm_after(timer, 1.0);
+  e.run_until(20.0);
+  EXPECT_EQ(fired.back(), 11.0);
 }
 
-TEST(Engine, RescheduleFiringKeepsFifoOrderAtEqualTimes) {
-  // A re-armed event at zero delay draws its seq at the call, so it fires
+TEST(Engine, TimerRearmKeepsFifoOrderAtEqualTimes) {
+  // A timer re-armed at zero delay draws its seq at the call, so it fires
   // after everything already scheduled for the same timestamp — exactly as
   // a schedule_after(0.0) from the same point would.
   Engine e;
   std::vector<int> order;
-  EventId a = 0;
   bool rearmed = false;
-  a = e.schedule_at(1.0, [&] {
+  EventId a = 0;
+  a = e.make_timer([&] {
     order.push_back(1);
     if (!rearmed) {
       rearmed = true;
-      EXPECT_TRUE(e.try_reschedule_firing(a, 0.0));
+      e.arm_after(a, 0.0);
+      e.schedule_after(0.0, [&] { order.push_back(3); });
     }
   });
+  e.arm_at(a, 1.0);
   e.schedule_at(1.0, [&] { order.push_back(2); });
   e.run_until(2.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 1}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 1, 3}));
 }
 
-TEST(Engine, RescheduleFromOtherEventReturnsFalse) {
+TEST(Engine, TimerArmedFromAnotherEvent) {
+  // A chain restarted from another event's callback (a blocked worker woken
+  // by the consumer) pushes the idle timer; its seq orders it after the
+  // events scheduled before the arm.
   Engine e;
-  const EventId other = e.schedule_at(5.0, [] {});
-  bool attempted = false;
+  std::vector<int> order;
+  const EventId timer = e.make_timer([&] { order.push_back(1); });
   e.schedule_at(1.0, [&] {
-    attempted = true;
-    EXPECT_FALSE(e.try_reschedule_firing(other, 1.0));
+    e.schedule_after(1.0, [&] { order.push_back(0); });
+    e.arm_after(timer, 1.0);
+    e.schedule_after(1.0, [&] { order.push_back(2); });
   });
   e.run_until(10.0);
-  EXPECT_TRUE(attempted);
-  EXPECT_EQ(e.events_executed(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(e.events_executed(), 4u);
+  EXPECT_EQ(e.pending(), 0u);
 }
 
-TEST(Engine, RescheduleOutsideAnyFiringReturnsFalse) {
-  Engine e;
-  const EventId id = e.schedule_at(1.0, [] {});
-  EXPECT_FALSE(e.try_reschedule_firing(id, 1.0));
-  EXPECT_FALSE(e.try_reschedule_firing(0, 1.0));
-  e.run_until(2.0);
-}
-
-TEST(Engine, RescheduledEventKeepsCancellableId) {
+TEST(Engine, TimerArmWhileArmedThrows) {
   Engine e;
   int runs = 0;
-  EventId id = 0;
-  id = e.schedule_after(1.0, [&] {
+  EventId timer = 0;
+  timer = e.make_timer([&] {
     ++runs;
-    EXPECT_TRUE(e.try_reschedule_firing(id, 1.0));
+    e.arm_after(timer, 1.0);
+    EXPECT_THROW(e.arm_after(timer, 2.0), capgpu::InvalidArgument);
   });
-  e.run_until(1.5);  // first firing re-armed the chain for t=2
+  e.arm_at(timer, 1.0);
+  EXPECT_THROW(e.arm_at(timer, 1.0), capgpu::InvalidArgument);
+  EXPECT_THROW(e.arm_after(timer, -1.0), capgpu::InvalidArgument);
+  e.run_until(2.5);
+  EXPECT_EQ(runs, 2);
   EXPECT_EQ(e.pending(), 1u);
-  e.cancel(id);
-  e.run_until(10.0);
-  EXPECT_EQ(runs, 1);
-  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_THROW(e.arm_at(timer, 1.0), capgpu::InvalidArgument);  // past
+  EXPECT_THROW(e.make_timer(nullptr), capgpu::InvalidArgument);
 }
 
-TEST(Engine, CancelAfterRescheduleInsideCallbackDropsChain) {
+TEST(Engine, TimerCancelDisarmsAndCanRearm) {
   Engine e;
   int runs = 0;
-  EventId id = 0;
-  id = e.schedule_after(1.0, [&] {
+  EventId timer = 0;
+  timer = e.make_timer([&] {
     ++runs;
-    EXPECT_TRUE(e.try_reschedule_firing(id, 1.0));
-    e.cancel(id);  // changed its mind within the same firing
+    e.arm_after(timer, 1.0);
   });
+  e.arm_after(timer, 1.0);
+  e.run_until(1.5);  // first firing re-armed the timer for t=2
+  EXPECT_EQ(e.pending(), 1u);
+  e.cancel(timer);
+  EXPECT_EQ(e.pending(), 0u);
+  e.cancel(timer);  // already idle: no-op
   e.run_until(10.0);
   EXPECT_EQ(runs, 1);
-  EXPECT_EQ(e.pending(), 0u);
+  e.arm_after(timer, 1.0);
+  e.run_until(11.5);
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(e.pending(), 1u);
 }
 
-TEST(Engine, RescheduleFiringStaleGenerationReturnsFalse) {
-  // A stale id whose slot was recycled into the currently-firing event must
-  // not re-arm someone else's chain: the generation check rejects it.
+TEST(Engine, TimerCancelAfterRearmInsideCallbackDisarms) {
   Engine e;
-  const EventId first = e.schedule_at(1.0, [] {});
-  e.run_until(1.5);  // `first` fired; its slot is free for reuse
-  bool attempted = false;
-  const EventId second = e.schedule_at(2.0, [&] {
-    attempted = true;
-    EXPECT_FALSE(e.try_reschedule_firing(first, 1.0));
+  int runs = 0;
+  EventId timer = 0;
+  timer = e.make_timer([&] {
+    ++runs;
+    e.arm_after(timer, 1.0);
+    e.cancel(timer);  // changed its mind within the same firing
+    if (runs == 1) e.arm_after(timer, 5.0);  // and back again
   });
-  // The recycled slot means `second` reuses `first`'s slot index.
-  EXPECT_EQ(first >> 32, second >> 32);
+  e.arm_after(timer, 1.0);
+  e.run_until(10.0);
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_DOUBLE_EQ(e.now(), 10.0);
+}
+
+TEST(Engine, TimerRejectsStaleAndNonTimerIds) {
+  Engine e;
+  const EventId one_shot = e.schedule_at(1.0, [] {});
+  EXPECT_THROW(e.arm_at(one_shot, 2.0), capgpu::InvalidArgument);
+  e.run_until(1.5);  // `one_shot` fired; its slot is free for reuse
+  int runs = 0;
+  const EventId timer = e.make_timer([&] { ++runs; });
+  // The recycled slot means the timer reuses `one_shot`'s slot index; the
+  // generation check still tells the stale id apart.
+  EXPECT_EQ(one_shot >> 32, timer >> 32);
+  EXPECT_THROW(e.arm_at(one_shot, 2.0), capgpu::InvalidArgument);
+  EXPECT_THROW(e.arm_at(0, 2.0), capgpu::InvalidArgument);
+  EXPECT_THROW(e.arm_at(EventId{9999} << 32 | 1, 2.0), capgpu::InvalidArgument);
+  const EventId periodic = e.schedule_periodic(1.0, [] {});
+  EXPECT_THROW(e.arm_at(periodic, 2.0), capgpu::InvalidArgument);
+  e.cancel(one_shot);  // stale: must not disarm the timer
+  e.arm_at(timer, 2.0);
+  e.cancel(one_shot);
   e.run_until(3.0);
-  EXPECT_TRUE(attempted);
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(Engine, TimerRearmedByThrowingCallbackStaysScheduled) {
+  Engine e;
+  int runs = 0;
+  EventId timer = 0;
+  timer = e.make_timer([&] {
+    ++runs;
+    e.arm_after(timer, 1.0);
+    if (runs == 1) throw std::runtime_error("callback failure");
+  });
+  e.arm_after(timer, 1.0);
+  EXPECT_THROW(e.run_until(1.5), std::runtime_error);
+  EXPECT_EQ(e.pending(), 1u);
+  e.run_until(2.5);
+  EXPECT_EQ(runs, 2);
+  // A throw without a re-arm leaves the timer idle but reusable.
+  const EventId idle = e.make_timer([] { throw std::runtime_error("x"); });
+  e.cancel(timer);
+  e.arm_after(idle, 1.0);
+  EXPECT_THROW(e.run_until(5.0), std::runtime_error);
+  EXPECT_EQ(e.pending(), 0u);
+  e.arm_after(idle, 1.0);
+  EXPECT_EQ(e.pending(), 1u);
 }
 
 }  // namespace

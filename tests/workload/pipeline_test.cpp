@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/capgpu_controller.hpp"
+#include "core/rig.hpp"
 #include "workload/latency_law.hpp"
 
 namespace capgpu::workload {
@@ -308,6 +310,52 @@ TEST(Pipeline, HostLoadCountsWorkersNeitherBlockedNorIdle) {
     if (open_loop) {
       EXPECT_EQ(max_idle, kWorkers);
     }
+  }
+}
+
+/// A short open-loop rig run under CapGPU, pinned to the event count and
+/// monitor totals recorded before the recurring event sources became
+/// persistent engine timers. Arrivals, preprocess workers (idle, blocked
+/// and woken), the batch consumer and the CPU task all run, so any change
+/// to the fire order of a recurring source moves these numbers.
+TEST(OpenLoopRig, EventCountAndMonitorTotalsMatchRecordedRun) {
+  core::RigConfig cfg;
+  cfg.preprocess_workers_per_stream = 2;
+  cfg.offered_load = {{0.0, 0.5}, {20.0, 1.3}, {40.0, 0.2}};
+  cfg.seed = 7;
+  core::ServerRig rig(cfg);
+  core::CapGpuController ctl(core::CapGpuConfig{}, rig.device_ranges(),
+                             rig.analytic_power_model(), 900_W,
+                             rig.latency_models());
+  core::RunOptions opt;
+  opt.periods = 15;
+  (void)rig.run(ctl, opt);
+  const double now = rig.engine().now();
+  const double window = cfg.throughput_window.value;
+
+  EXPECT_EQ(rig.engine().events_executed(), 8058u);
+  const auto& task = rig.cpu_task();
+  EXPECT_EQ(task.subsets_evaluated(), 27159u);
+  EXPECT_EQ(task.throughput().rate(now, window), 453.75);
+  EXPECT_EQ(task.subset_latency().mean(now, opt.loop.period.value),
+            0.07313336634617941);
+  const std::vector<std::uint64_t> images{2220, 1400, 1720};
+  const std::vector<std::uint64_t> batches{111, 70, 86};
+  const std::vector<std::uint64_t> pending{86, 74, 14};
+  const std::vector<double> rates{40.0, 25.0, 32.5};
+  const std::vector<double> exec_means{
+      0.48958234695875646, 0.76414971566964629, 0.62180659150585571};
+  ASSERT_EQ(rig.gpu_count(), 3u);
+  for (std::size_t i = 0; i < rig.gpu_count(); ++i) {
+    auto& s = rig.stream(i);
+    EXPECT_EQ(s.images_completed(), images[i]) << "stream " << i;
+    EXPECT_EQ(s.batches_completed(), batches[i]) << "stream " << i;
+    EXPECT_EQ(s.pending_requests(), pending[i]) << "stream " << i;
+    EXPECT_EQ(s.images_throughput().rate(now, window), rates[i])
+        << "stream " << i;
+    EXPECT_EQ(s.batch_latency().mean(now, opt.loop.period.value),
+              exec_means[i])
+        << "stream " << i;
   }
 }
 
